@@ -244,16 +244,16 @@ def minimize_across_buckets(
     # the target was placed somewhere
     t_next: list[tuple[int, int] | None] = [(1, 1)] + [None] * k
     f_next: list[tuple[int, int] | None] = [None] * (k + 1)
-    choice_t: list[bytes] = [b""] * m
-    choice_f: list[bytes] = [b""] * m
+    choice_t: list[list[int]] = [[]] * m
+    choice_f: list[list[int]] = [[]] * m
 
     for i in range(m - 1, -1, -1):
         wbi = wb[i]
         nb, top = shape[i]
         t_row: list[tuple[int, int] | None] = [None] * (k + 1)
         f_row: list[tuple[int, int] | None] = [None] * (k + 1)
-        ct = bytearray(k + 1)
-        cf = bytearray(k + 1)
+        ct = [0] * (k + 1)
+        cf = [0] * (k + 1)
         for h in range(k + 1):
             # target already placed: just distribute h atoms
             bn = bd = None
@@ -305,8 +305,8 @@ def minimize_across_buckets(
                 f_row[h] = (bn, bd)
                 cf[h] = bcf
         t_next, f_next = t_row, f_row
-        choice_t[i] = bytes(ct)
-        choice_f[i] = bytes(cf)
+        choice_t[i] = ct
+        choice_f[i] = cf
 
     global _LAST_ACROSS_ENTRIES
     _LAST_ACROSS_ENTRIES = 2 * m * (k + 1)
@@ -421,21 +421,18 @@ def max_disclosure(bucketization: Bucketization, k: int) -> DisclosureReport:
 def max_disclosure_negated_atoms(bucketization: Bucketization, k: int) -> Fraction:
     """Worst-case posterior when the k knowledge units are negated atoms.
 
-    The worst case concentrates every negation on one person: exclude u-1 of
-    the bucket's top u values (u = min(k+1, distinct values)) and target the
-    remaining one. Verified against the exhaustive negated-atoms search on
-    random instances rather than proved.
+    The worst case concentrates every negation on one person (verified
+    against the exhaustive negated-atoms search on random instances rather
+    than proved): with u = min(k+1, distinct values), exclude u-1 of the
+    bucket's top u values and target the remaining one, of count x. That
+    gives x / (A + x) with A = n_b - (sum of the top u counts), which grows
+    with x, so the best target is the most frequent value.
     """
     if k < 0:
         raise ValidationError("k must be non-negative")
     best = Fraction(0)
     for b in bucketization.buckets:
         counts = b.counts
-        n = b.size
-        u = min(k + 1, len(counts))
-        top_u = sum(counts[:u])
-        for m in range(u):
-            value = Fraction(counts[m], n - top_u + counts[m])
-            if value > best:
-                best = value
+        top_u = sum(counts[: k + 1])
+        best = max(best, Fraction(counts[0], b.size - top_u + counts[0]))
     return best

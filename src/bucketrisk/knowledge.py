@@ -138,7 +138,12 @@ _SPECIAL = set(' \t()=&|"#')
 
 
 def _quote(text: str) -> str:
-    if text and not (set(text) & _SPECIAL) and "->" not in text:
+    if (
+        text
+        and not (set(text) & _SPECIAL)
+        and "->" not in text
+        and text not in ("AND", "OR")  # bare, these read as keywords
+    ):
         return text
     if '"' in text:
         raise ValidationError(f"cannot render {text!r}: embedded quote")

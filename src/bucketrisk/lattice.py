@@ -20,7 +20,7 @@ from typing import Callable, Iterable, Sequence, TextIO, Union
 
 from .engine import max_disclosure
 from .errors import BudgetExceededError, ValidationError
-from .table import Bucketization, Table, make_bucket
+from .table import Bucketization, Table, _bucketize
 
 Source = Union[str, Path, TextIO]
 Node = tuple[int, ...]
@@ -178,28 +178,13 @@ def apply(table: Table, hierarchy: Hierarchy, node: Sequence[int]) -> Bucketizat
             raise ValidationError(
                 f"hierarchy attribute {attribute!r} not in table"
             )
-    groups: dict[tuple[str, ...], list] = {}
-    for record in table.records:
-        key = tuple(
+    return _bucketize(
+        table,
+        lambda record: tuple([
             hierarchy.label(attribute, level, record.values[attribute])
             for attribute, level in zip(hierarchy.attributes, node)
-        )
-        groups.setdefault(key, []).append(record)
-    used: set[str] = set()
-    buckets = []
-    for key, records in groups.items():
-        bucket_id = "|".join(key)
-        while bucket_id in used:  # label collision across distinct keys
-            bucket_id += "+"
-        used.add(bucket_id)
-        buckets.append(
-            make_bucket(
-                bucket_id,
-                tuple(r.person_id for r in records),
-                tuple(r.sensitive for r in records),
-            )
-        )
-    return Bucketization(tuple(buckets), table.domain)
+        ]),
+    )
 
 
 def leq(finer: Bucketization, coarser: Bucketization) -> bool:

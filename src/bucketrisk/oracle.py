@@ -10,11 +10,14 @@ This module is intentionally exponential: it exists as ground truth for the
 polynomial engine and the worked examples, at small scale. Budgets guard every
 enumeration.
 
-Two equivalent evaluation paths back ``exact_posterior``: full enumeration of
-worlds when the world count fits the budget, and otherwise a projected
-enumeration that assigns values only to the persons the formula mentions,
-weighting each partial assignment by the multinomial count of its completions.
-Both are exact; a property test pins their agreement.
+``exact_posterior`` and ``knowledge_probability`` enumerate only the persons
+the formula mentions: each bucket contributes the distinct value sequences of
+its mentioned members, weighted by the multinomial count of their completions,
+and buckets without mentioned persons contribute a constant factor that
+cancels. This projection never visits more combinations than ``world_count``,
+and its size is counted in polynomial time before enumerating, so a refused
+call costs almost nothing. ``brute_force_max_disclosure`` enumerates whole
+worlds through the same sequence enumerator, with every member mentioned.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import (
     BudgetExceededError,
@@ -33,6 +36,7 @@ from .knowledge import (
     Atom,
     BasicImplication,
     Knowledge,
+    knowledge_holds,
     negation_as_implication,
     simple_implication,
 )
@@ -57,32 +61,6 @@ def world_count(bucketization: Bucketization) -> int:
     return total
 
 
-def _bucket_assignments(bucket: Bucket) -> list[tuple[str, ...]]:
-    """All distinct assignments of the bucket's multiset to its members.
-
-    Members keep their order; assignments come out in lexicographic value
-    order, which keeps every downstream enumeration deterministic.
-    """
-    remaining = dict(sorted(bucket.multiset().items()))
-    n = bucket.size
-    out: list[tuple[str, ...]] = []
-    seq: list[str] = []
-
-    def rec() -> None:
-        if len(seq) == n:
-            out.append(tuple(seq))
-            return
-        for v, c in remaining.items():
-            if c:
-                remaining[v] = c - 1
-                seq.append(v)
-                rec()
-                seq.pop()
-                remaining[v] = c
-    rec()
-    return out
-
-
 def _validate_atoms(bucketization: Bucketization, atoms: Iterable[Atom]) -> None:
     persons = bucketization.person_ids
     domain = set(bucketization.domain)
@@ -97,50 +75,17 @@ def _validate_atoms(bucketization: Bucketization, atoms: Iterable[Atom]) -> None
 # Posteriors
 # ============================================================================
 
-def _posterior_full(
-    bucketization: Bucketization,
-    knowledge: Knowledge,
-    target: Atom | None,
-) -> tuple[int, int, int]:
-    """(target-and-knowledge, knowledge, total) world counts by full enumeration."""
-    buckets = bucketization.buckets
-    locate = {
-        p: (bi, mi)
-        for bi, b in enumerate(buckets)
-        for mi, p in enumerate(b.members)
-    }
-
-    def atom_true(world: tuple[tuple[str, ...], ...], atom: Atom) -> bool:
-        bi, mi = locate[atom.person]
-        return world[bi][mi] == atom.value
-
-    def impl_true(world: tuple[tuple[str, ...], ...], impl: BasicImplication) -> bool:
-        if all(atom_true(world, a) for a in impl.antecedents):
-            return any(atom_true(world, c) for c in impl.consequents)
-        return True
-
-    num = den = total = 0
-    per_bucket = [_bucket_assignments(b) for b in buckets]
-    for world in itertools.product(*per_bucket):
-        total += 1
-        if all(impl_true(world, impl) for impl in knowledge):
-            den += 1
-            if target is not None and atom_true(world, target):
-                num += 1
-    return num, den, total
-
-
-def _mentioned_sequences(
-    bucket: Bucket, mentioned: Sequence[str]
-) -> list[tuple[tuple[str, ...], int]]:
-    """Value sequences for the mentioned members, weighted by completion count.
+def _mentioned_sequences(bucket: Bucket, q: int) -> list[tuple[tuple[str, ...], int]]:
+    """Value sequences for q mentioned members, weighted by completion count.
 
     The weight of a partial assignment is the number of distinct ways to
     assign the remaining multiset to the remaining members:
-    (n_b - q)! / prod_s (remaining count of s)!.
+    (n_b - q)! / prod_s (remaining count of s)!. With q = n_b these are the
+    bucket's distinct full assignments, each of weight 1. Sequences come out
+    in lexicographic value order, which keeps every downstream enumeration
+    deterministic.
     """
     remaining = dict(sorted(bucket.multiset().items()))
-    q = len(mentioned)
     base = math.factorial(bucket.size - q)
     out: list[tuple[tuple[str, ...], int]] = []
     seq: list[str] = []
@@ -167,24 +112,24 @@ def _mentioned_sequences(
 
 
 def _projected_size(bucketization: Bucketization, mentioned: set[str]) -> int:
-    """Number of combinations the projected enumeration would visit."""
+    """Number of combinations the projected enumeration would visit.
 
-    def count(counts: tuple[int, ...], q: int) -> int:
-        # sequences of length q drawn from a multiset with these counts
-        if q == 0:
-            return 1
-        total = 0
-        for i, c in enumerate(counts):
-            if c:
-                reduced = counts[:i] + (c - 1,) + counts[i + 1 :]
-                total += count(reduced, q - 1)
-        return total
-
+    Per bucket, the distinct length-q value sequences over its multiset are
+    counted by a DP over the values: ways[t] counts length-t sequences over
+    the values so far, and a value of count c puts j <= c copies among t
+    positions in C(t, j) ways. Polynomial, so refusing is cheap.
+    """
     size = 1
     for b in bucketization.buckets:
         q = sum(1 for p in b.members if p in mentioned)
         if q:
-            size *= count(b.counts, q)
+            ways = [1] + [0] * q
+            for c in b.counts:
+                ways = [
+                    sum(ways[t - j] * math.comb(t, j) for j in range(min(c, t) + 1))
+                    for t in range(q + 1)
+                ]
+            size *= ways[q]
     return size
 
 
@@ -212,7 +157,7 @@ def _posterior_projected(
     for b in bucketization.buckets:
         local = [p for p in b.members if p in mentioned]
         if local:
-            groups.append((local, _mentioned_sequences(b, local)))
+            groups.append((local, _mentioned_sequences(b, len(local))))
 
     num = den = total = 0
     for combo in itertools.product(*(seqs for _, seqs in groups)):
@@ -220,32 +165,13 @@ def _posterior_projected(
         assignment = {}
         for (local, _), (values, weight) in zip(groups, combo):
             w *= weight
-            for p, v in zip(local, values):
-                assignment[p] = v
+            assignment.update(zip(local, values))
         total += w
-        ok = True
-        for impl in knowledge:
-            if all(assignment[a.person] == a.value for a in impl.antecedents):
-                if not any(assignment[c.person] == c.value for c in impl.consequents):
-                    ok = False
-                    break
-        if ok:
+        if knowledge_holds(assignment, knowledge):
             den += w
             if target is not None and assignment[target.person] == target.value:
                 num += w
     return num, den, total
-
-
-def _posterior_counts(
-    bucketization: Bucketization,
-    knowledge: Knowledge,
-    target: Atom | None,
-    budget: int,
-) -> tuple[int, int, int]:
-    wc = world_count(bucketization)
-    if wc <= budget:
-        return _posterior_full(bucketization, knowledge, target)
-    return _posterior_projected(bucketization, knowledge, target, budget)
 
 
 def exact_posterior(
@@ -262,7 +188,7 @@ def exact_posterior(
     and BudgetExceededError when the enumeration would exceed ``budget``.
     """
     _validate_atoms(bucketization, [*knowledge.atoms(), target])
-    num, den, _ = _posterior_counts(bucketization, knowledge, target, budget)
+    num, den, _ = _posterior_projected(bucketization, knowledge, target, budget)
     if den == 0:
         raise InconsistentKnowledgeError(
             "no world consistent with the bucketization satisfies the knowledge"
@@ -278,7 +204,7 @@ def knowledge_probability(
 ) -> Fraction:
     """Pr(knowledge | bucketization): the weight fraction of satisfying worlds."""
     _validate_atoms(bucketization, knowledge.atoms())
-    _, den, total = _posterior_counts(bucketization, knowledge, None, budget)
+    _, den, total = _posterior_projected(bucketization, knowledge, None, budget)
     return Fraction(den, total)
 
 
@@ -339,7 +265,10 @@ def _atom_masks(
     bucketization: Bucketization,
 ) -> tuple[dict[tuple[str, str], int], int, list[Atom]]:
     """Bitmasks over the enumerated worlds for every (person, value) atom."""
-    per_bucket = [_bucket_assignments(b) for b in bucketization.buckets]
+    per_bucket = [
+        [values for values, _ in _mentioned_sequences(b, b.size)]
+        for b in bucketization.buckets
+    ]
     members = [b.members for b in bucketization.buckets]
     masks: dict[tuple[str, str], int] = {}
     bit = 1

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence, TextIO, Union
+from typing import Callable, Iterable, Mapping, Sequence, TextIO, Union
 
 from .errors import ValidationError
 
@@ -177,11 +177,12 @@ class Bucketization:
     def person_ids(self) -> frozenset[str]:
         return frozenset(self.bucket_of)
 
+    @cached_property
+    def by_id(self) -> dict[str, Bucket]:
+        return {b.bucket_id: b for b in self.buckets}
+
     def bucket(self, bucket_id: str) -> Bucket:
-        for b in self.buckets:
-            if b.bucket_id == bucket_id:
-                return b
-        raise KeyError(bucket_id)
+        return self.by_id[bucket_id]
 
     def bucket_of_person(self, person_id: str) -> Bucket:
         try:
@@ -292,13 +293,14 @@ def partition(
 
     Exactly one grouping mode applies: an explicit person-to-bucket
     ``assignment``, or ``by``, a list of non-sensitive attributes to group on
-    (an empty list groups everything into a single bucket). Bucket order and
-    member order follow record order; with ``assignment``, buckets appear in
-    order of first member.
+    (an empty list groups everything into a single bucket, named "all").
+    Bucket order and member order follow record order; with ``assignment``,
+    buckets appear in order of first member and keep their labels as ids.
+    Group-by ids join the attribute values with "|"; when two distinct value
+    tuples join to the same text, the later bucket's id gets "+" appended.
     """
     if (assignment is None) == (by is None):
         raise ValidationError("specify exactly one of assignment= or by=")
-    groups: dict[str, list[Record]] = {}
     if assignment is not None:
         missing = [r.person_id for r in table.records if r.person_id not in assignment]
         if missing:
@@ -306,20 +308,36 @@ def partition(
         extra = set(assignment) - set(table.person_ids)
         if extra:
             raise ValidationError(f"assignment names unknown person(s) {sorted(extra)}")
-        for r in table.records:
-            groups.setdefault(assignment[r.person_id], []).append(r)
-    else:
-        unknown = [a for a in by if a not in table.attributes]
-        if unknown:
-            raise ValidationError(f"cannot group by unknown attribute(s) {unknown}")
-        for r in table.records:
-            key = "|".join(r.values[a] for a in by) if by else "all"
-            groups.setdefault(key, []).append(r)
-    buckets = tuple(
-        make_bucket(bid, [r.person_id for r in rs], [r.sensitive for r in rs])
-        for bid, rs in groups.items()
-    )
-    return Bucketization(buckets=buckets, domain=table.domain)
+        return _bucketize(table, lambda r: (assignment[r.person_id],))
+    unknown = [a for a in by if a not in table.attributes]
+    if unknown:
+        raise ValidationError(f"cannot group by unknown attribute(s) {unknown}")
+    return _bucketize(table, lambda r: tuple([r.values[a] for a in by]) or ("all",))
+
+
+def _bucketize(
+    table: Table, key: Callable[[Record], tuple[str, ...]]
+) -> Bucketization:
+    """Group the table's records by a tuple key, one bucket per distinct key.
+
+    Buckets and their members follow record order. A bucket is named by
+    joining its key with "|", and a name already taken by another key gets
+    "+" appended until it is unique, so distinct keys never share a bucket.
+    """
+    groups: dict[tuple[str, ...], list[Record]] = {}
+    for r in table.records:
+        groups.setdefault(key(r), []).append(r)
+    used: set[str] = set()
+    buckets = []
+    for values, rs in groups.items():
+        bucket_id = "|".join(values)
+        while bucket_id in used:
+            bucket_id += "+"
+        used.add(bucket_id)
+        buckets.append(
+            make_bucket(bucket_id, [r.person_id for r in rs], [r.sensitive for r in rs])
+        )
+    return Bucketization(buckets=tuple(buckets), domain=table.domain)
 
 
 def min_bucket_entropy(bucketization: Bucketization) -> float:

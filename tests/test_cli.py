@@ -43,6 +43,14 @@ def test_disclose_negations(runner):
     assert "error:" in r.stderr
 
 
+def test_disclose_large_k(runner):
+    r = invoke(runner, "disclose", "--k", "200", "--group-by", "Sex")
+    assert r.exit_code == 0
+    assert r.stdout.startswith("disclosure: 1/1 ")
+    assert r.exception is None
+    assert "Traceback" not in r.output
+
+
 def test_disclose_whole_table_is_one_bucket(runner):
     r = invoke(runner, "disclose", "--k", "1")
     assert r.stdout.startswith("disclosure: 6/11 ")

@@ -206,6 +206,14 @@ def test_single_bucket_saturation():
     assert max_disclosure_negated_atoms(b, 2) == 1
 
 
+def test_k_past_a_byte():
+    # back-pointer codes reach 2k+1, past a byte from k = 128
+    values = [f"v{i:03d}" for i in range(300)]
+    bucket = make_bucket("b", [f"p{i}" for i in range(300)], values)
+    b = Bucketization((bucket,), tuple(values))
+    assert max_disclosure(b, 128).disclosure == Fraction(1, 300 - 128)
+
+
 def test_negated_closed_form_matches_oracle():
     rng = random.Random(23)
     for _ in range(10):

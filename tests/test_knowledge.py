@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from bucketrisk import (
     Atom,
@@ -102,6 +102,7 @@ implications = st.builds(
 
 
 @given(st.lists(implications, max_size=4))
+@example([BasicImplication((Atom("AND", "OR"),), (Atom("OR", "AND"),))])
 def test_format_parse_roundtrip(impls):
     k = Knowledge(tuple(impls))
     assert parse_knowledge(format_knowledge(k)) == k

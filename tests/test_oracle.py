@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ from bucketrisk import (
     Knowledge,
     ValidationError,
     exact_posterior,
+    knowledge_holds,
     knowledge_probability,
     make_bucket,
     negation_as_implication,
@@ -24,8 +26,8 @@ from bucketrisk.oracle import (
     COMMON_CONSEQUENT,
     NEGATED_ATOMS,
     SIMPLE,
-    _posterior_full,
     _posterior_projected,
+    _projected_size,
     brute_force_max_disclosure,
 )
 from helpers import random_bucketization
@@ -101,6 +103,29 @@ def test_budget_exceeded(demo_bucketization):
     assert got == Fraction(2, 5)
 
 
+def test_budget_refusal_is_counted_not_walked():
+    # 9 of the 12 members of a bucket holding six values twice each
+    members = [f"p{i:02d}" for i in range(12)]
+    values = [v for v in "abcdef" for _ in range(2)]
+    b = Bucketization((make_bucket("b", members, values),), tuple("abcdef"))
+    noisy = Knowledge(tuple(imp((p, "a"), (p, "a")) for p in members[:9]))
+    with pytest.raises(BudgetExceededError) as e:
+        exact_posterior(b, noisy, Atom("p00", "a"), budget=1000)
+    assert e.value.count == 1_587_600
+
+
+@given(
+    values=st.lists(st.sampled_from("abc"), min_size=1, max_size=7),
+    q=st.integers(min_value=0, max_value=7),
+)
+def test_projected_size_counts_sequences(values, q):
+    q = min(q, len(values))
+    members = [f"p{i}" for i in range(len(values))]
+    b = Bucketization((make_bucket("b", members, values),), tuple("abc"))
+    expected = len(set(itertools.permutations(values, q)))
+    assert _projected_size(b, set(members[:q])) == expected
+
+
 def random_knowledge(rng, bucketization, max_impls=2):
     persons = sorted(bucketization.bucket_of)
     domain = bucketization.domain
@@ -116,6 +141,25 @@ def random_knowledge(rng, bucketization, max_impls=2):
     return Knowledge(tuple(impls))
 
 
+def count_worlds(bucketization, knowledge, target):
+    """(target-and-knowledge, knowledge, total) world counts, world by world."""
+    buckets = bucketization.buckets
+    per_bucket = [
+        set(itertools.permutations([v for v, c in b.histogram for _ in range(c)]))
+        for b in buckets
+    ]
+    num = den = total = 0
+    for world in itertools.product(*per_bucket):
+        assignment = {
+            p: v for b, values in zip(buckets, world) for p, v in zip(b.members, values)
+        }
+        total += 1
+        if knowledge_holds(assignment, knowledge):
+            den += 1
+            num += assignment[target.person] == target.value
+    return num, den, total
+
+
 @given(seed=st.integers(min_value=0, max_value=10_000))
 @settings(max_examples=60, deadline=None)
 def test_projected_equals_full(seed):
@@ -124,7 +168,7 @@ def test_projected_equals_full(seed):
     knowledge = random_knowledge(rng, b)
     persons = sorted(b.bucket_of)
     target = Atom(rng.choice(persons), rng.choice(b.domain))
-    fn, fd, ft = _posterior_full(b, knowledge, target)
+    fn, fd, ft = count_worlds(b, knowledge, target)
     pn, pd, pt = _posterior_projected(b, knowledge, target, 10_000_000)
     # same posterior and same knowledge probability, up to the projection factor
     assert fn * pd == pn * fd

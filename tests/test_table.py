@@ -98,6 +98,14 @@ def test_partition_modes(demo_table):
     assert single.buckets[0].size == 10
 
 
+def test_partition_keys_are_tuples():
+    # joined with "|", both rows would read "a|b|c" and share one bucket
+    t = load_table(io.StringIO('A,B,S\n"a|b",c,x\na,"b|c",y\n'), "S")
+    b = partition(t, by=("A", "B"))
+    assert [bucket.members for bucket in b.buckets] == [("0",), ("1",)]
+    assert [bucket.bucket_id for bucket in b.buckets] == ["a|b|c", "a|b|c+"]
+
+
 def test_partition_assignment_matches_group_by(demo_table, demo_bucketization):
     assignment = read_assignment(DATA / "clinic-partition.tsv")
     explicit = partition(demo_table, assignment=assignment)
