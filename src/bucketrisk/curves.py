@@ -16,7 +16,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Sequence, TextIO, Union
 
-from .engine import max_disclosure, max_disclosure_negated_atoms
+from .engine import disclosure_by_k
 from .errors import ValidationError
 from .table import Bucketization, make_bucket, min_bucket_entropy
 
@@ -32,16 +32,9 @@ class CurvePoint:
 
 def disclosure_vs_k(bucketization: Bucketization, k_max: int) -> list[CurvePoint]:
     """Worst-case disclosure for k = 0..k_max, for both knowledge classes."""
-    if k_max < 0:
-        raise ValidationError("k_max must be non-negative")
-    points = [
-        CurvePoint("implications", k, max_disclosure(bucketization, k).disclosure)
-        for k in range(k_max + 1)
-    ]
-    points += [
-        CurvePoint("negations", k, max_disclosure_negated_atoms(bucketization, k))
-        for k in range(k_max + 1)
-    ]
+    implications, negations = disclosure_by_k(bucketization, k_max)
+    points = [CurvePoint("implications", k, v) for k, v in enumerate(implications)]
+    points += [CurvePoint("negations", k, v) for k, v in enumerate(negations)]
     return points
 
 
@@ -82,14 +75,18 @@ class SkewedSingleBucketFamily:
 
 def entropy_vs_disclosure(family, k_list: Sequence[int]) -> list[CurvePoint]:
     """Least worst-case disclosure at each entropy value, one series per k."""
-    members = list(family.members())
+    if any(k < 0 for k in k_list):
+        raise ValidationError("k must be non-negative")
+    k_top = max(k_list, default=0)
+    members = [
+        (h, disclosure_by_k(bucketization, k_top)[0])
+        for h, bucketization in family.members()
+    ]
     points = []
     for k in k_list:
-        if k < 0:
-            raise ValidationError("k must be non-negative")
         best: dict[float, Fraction] = {}
-        for h, bucketization in members:
-            value = max_disclosure(bucketization, k).disclosure
+        for h, curve in members:
+            value = curve[k]
             if h not in best or value < best[h]:
                 best[h] = value
         series = f"k={k}"

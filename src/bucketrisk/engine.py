@@ -18,6 +18,13 @@ Two memoized dynamic programs do that:
   always a most-frequent-value atom of its bucket) over the buckets,
   multiplying independent per-bucket factors.
 
+One across-bucket sweep at k fills a row whose entry h is the answer for h
+atoms, so it serves every h <= k: ``max_disclosure`` reads entry k and
+backtracks a witness, and ``disclosure_by_k`` reads the whole row. The curve
+also stops at saturation. With d_min the fewest distinct values in any
+bucket, both knowledge classes disclose exactly 1 from k = d_min - 1 on, so
+the curve sweeps only up to min(k_max, d_min - 1) and fills the rest with 1.
+
 All probabilities are exact rationals. Internally the DP works on
 unnormalized (numerator, denominator) integer pairs compared by
 cross-multiplication; ``None`` marks an infeasible state. Fractions appear
@@ -212,27 +219,31 @@ class Placement:
     atom_counts: tuple[int, ...]
 
 
-def minimize_across_buckets(
-    bucketization: Bucketization, k: int
-) -> tuple[Fraction, Placement]:
-    """Minimum of r over all placements of the k+1 atoms, with the placement.
+def _saturation(buckets: Sequence[Bucket]) -> int:
+    """The k from which both knowledge classes disclose exactly 1: d_min - 1.
 
-    Buckets are independent, so a placement's r is the product of per-bucket
-    avoidance minima, times n_b/n_b(top value) for the target atom's bucket
-    (the target is always a most-frequent-value atom there, which both
-    belongs to the numerator's minimal atom set and maximizes the
-    denominator). The DP sweeps buckets once; states are (bucket, atoms still
-    to place, target placed yet?), infeasible states are None. All k atoms
-    are always placed: every within-bucket factor is <= 1, so using fewer
-    can never win (and the padding argument makes the two minima equal).
+    In a bucket of d_min distinct values, one person can carry the target
+    (its top value) plus an atom, or a negation, for each of the d_min - 1
+    other values. No world then gives that person another value, so r = 0
+    and the disclosure is 1; more knowledge cannot lower a worst case.
     """
-    if k < 0:
-        raise ValidationError("k must be non-negative")
-    buckets = bucketization.buckets
-    m = len(buckets)
-    if m == 0:
+    if not buckets:
         raise ValidationError("empty bucketization")
+    return min(len(b.histogram) for b in buckets) - 1
 
+
+def _across_sweep(
+    buckets: Sequence[Bucket], k: int
+) -> tuple[list, list[list[int]], list[list[int]]]:
+    """The across-bucket DP for up to k antecedent atoms, in one sweep.
+
+    Returns the row at bucket 0 with the target still to place, whose entry
+    h is the minimum r, as an unnormalized pair, over placements of the
+    target plus h atoms, and the back-pointer tables for that row. Entry h
+    reads only entries h' <= h and within-bucket minima for up to h+1
+    atoms, so a sweep at k holds the exact answer for every h <= k.
+    """
+    m = len(buckets)
     wb: list[list[tuple[int, int]]] = []
     shape: list[tuple[int, int]] = []
     for b in buckets:
@@ -310,9 +321,32 @@ def minimize_across_buckets(
 
     global _LAST_ACROSS_ENTRIES
     _LAST_ACROSS_ENTRIES = 2 * m * (k + 1)
+    # the target atom can always be placed, so no entry of f_next is None
+    return f_next, choice_t, choice_f
 
-    result = f_next[k]
-    assert result is not None  # the target atom can always be placed
+
+def minimize_across_buckets(
+    bucketization: Bucketization, k: int
+) -> tuple[Fraction, Placement]:
+    """Minimum of r over all placements of the k+1 atoms, with the placement.
+
+    Buckets are independent, so a placement's r is the product of per-bucket
+    avoidance minima, times n_b/n_b(top value) for the target atom's bucket
+    (the target is always a most-frequent-value atom there, which both
+    belongs to the numerator's minimal atom set and maximizes the
+    denominator). The DP sweeps buckets once; states are (bucket, atoms still
+    to place, target placed yet?), infeasible states are None. All k atoms
+    are always placed: every within-bucket factor is <= 1, so using fewer
+    can never win (and the padding argument makes the two minima equal).
+    """
+    if k < 0:
+        raise ValidationError("k must be non-negative")
+    buckets = bucketization.buckets
+    m = len(buckets)
+    if m == 0:
+        raise ValidationError("empty bucketization")
+    row, choice_t, choice_f = _across_sweep(buckets, k)
+
     atom_counts = [0] * m
     target_bucket = -1
     h = k
@@ -331,7 +365,27 @@ def minimize_across_buckets(
             hp = choice_t[i][h]
             atom_counts[i] = hp
         h -= hp
-    return Fraction(*result), Placement(target_bucket, tuple(atom_counts))
+    return Fraction(*row[k]), Placement(target_bucket, tuple(atom_counts))
+
+
+def disclosure_by_k(
+    bucketization: Bucketization, k_max: int
+) -> tuple[list[Fraction], list[Fraction]]:
+    """Worst-case disclosure for every k = 0..k_max, for both knowledge classes.
+
+    Returns (implications, negated atoms), each indexed by k. Entry k of the
+    first equals ``max_disclosure(bucketization, k).disclosure`` and of the
+    second ``max_disclosure_negated_atoms(bucketization, k)``, but one
+    across-bucket sweep serves every k, no witness is built, and no column
+    past saturation (k = d_min - 1, where both classes reach 1) is computed.
+    """
+    if k_max < 0:
+        raise ValidationError("k_max must be non-negative")
+    buckets = bucketization.buckets
+    cap = min(k_max, _saturation(buckets))
+    saturated = [Fraction(1)] * (k_max - cap)
+    implications = [Fraction(d, n + d) for n, d in _across_sweep(buckets, cap)[0]]
+    return implications + saturated, _negated_atoms_series(buckets, cap) + saturated
 
 
 # ============================================================================
@@ -418,6 +472,25 @@ def max_disclosure(bucketization: Bucketization, k: int) -> DisclosureReport:
     )
 
 
+def _negated_atoms_series(buckets: Sequence[Bucket], k: int) -> list[Fraction]:
+    """The negated-atoms bound for every k' <= k, for k up to saturation.
+
+    Prefix sums run once per distinct histogram, candidates are compared by
+    cross-multiplication, and a Fraction is built only for each k's maximum.
+    """
+    best = [(0, 1)] * (k + 1)
+    for counts in dict.fromkeys(b.counts for b in buckets):
+        top, n = counts[0], sum(counts)
+        covered = 0
+        for j in range(k + 1):
+            covered += counts[j]  # j < d_min <= len(counts)
+            den = n - covered + top
+            bn, bd = best[j]
+            if top * bd > bn * den:
+                best[j] = (top, den)
+    return [Fraction(n, d) for n, d in best]
+
+
 def max_disclosure_negated_atoms(bucketization: Bucketization, k: int) -> Fraction:
     """Worst-case posterior when the k knowledge units are negated atoms.
 
@@ -430,9 +503,5 @@ def max_disclosure_negated_atoms(bucketization: Bucketization, k: int) -> Fracti
     """
     if k < 0:
         raise ValidationError("k must be non-negative")
-    best = Fraction(0)
-    for b in bucketization.buckets:
-        counts = b.counts
-        top_u = sum(counts[: k + 1])
-        best = max(best, Fraction(counts[0], b.size - top_u + counts[0]))
-    return best
+    buckets = bucketization.buckets
+    return _negated_atoms_series(buckets, min(k, _saturation(buckets)))[-1]

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from click.testing import CliRunner
 
-from bucketrisk import read_csv
+from bucketrisk import cache_info, read_csv
 from bucketrisk.cli import main
 from conftest import DATA
 
@@ -213,6 +213,23 @@ def test_curve_k_sampled(runner):
     assert len(r.stdout.splitlines()) == 1 + 4  # header + 2 series x 2 points
     r = invoke(runner, "curve-k", "--k-max", "1", "--sample", "1.5")
     assert r.exit_code == 2
+
+
+def test_curve_k_large_k_max_stops_at_saturation(runner, demo_bucketization):
+    # the Sex buckets have 3 and 4 distinct values, so both series are 1 from
+    # k = 2 on and the across sweep needs only columns 0..2
+    r = invoke(runner, "curve-k", "--k-max", "6000", "--group-by", "Sex")
+    assert r.exit_code == 0
+    lines = r.stdout.splitlines()
+    assert len(lines) == 1 + 2 * 6001
+    for line in lines[1:]:
+        series, k, value = line.split(",", 2)
+        if int(k) >= 2:
+            assert value == "1,1,1.0", line
+    buckets = demo_bucketization.buckets
+    cap = min(len(b.histogram) for b in buckets) - 1
+    assert cap == 2
+    assert cache_info().across_entries <= 2 * len(buckets) * (cap + 1)
 
 
 def test_curve_entropy(runner):

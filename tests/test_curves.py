@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bucketrisk import (
     CurvePoint,
@@ -12,9 +13,11 @@ from bucketrisk import (
     disclosure_vs_k,
     emit_csv,
     entropy_vs_disclosure,
+    max_disclosure,
+    max_disclosure_negated_atoms,
     read_csv,
 )
-from helpers import random_bucketization
+from helpers import VALUES, bucketization_from_counts, random_bucketization
 
 
 def series(points, name):
@@ -44,6 +47,66 @@ def test_disclosure_vs_k_properties():
             assert neg[k] <= neg[k + 1]
         for k in range(5):
             assert neg[k] <= impl[k]
+
+
+def per_k_reference(bucketization, k_max):
+    """The plain per-k loop: one optimizer call per k, closed-form negations."""
+    points = [
+        CurvePoint("implications", k, max_disclosure(bucketization, k).disclosure)
+        for k in range(k_max + 1)
+    ]
+    for k in range(k_max + 1):
+        negated = max(
+            Fraction(b.counts[0], b.size - sum(b.counts[: k + 1]) + b.counts[0])
+            for b in bucketization.buckets
+        )
+        assert max_disclosure_negated_atoms(bucketization, k) == negated
+        points.append(CurvePoint("negations", k, negated))
+    return points
+
+
+@st.composite
+def shared_histogram_bucketizations(draw):
+    # buckets drawn from a small pool of histograms, so several share one;
+    # one-value histograms make buckets that are saturated at k = 0
+    pool = draw(
+        st.lists(
+            st.lists(st.integers(1, 3), min_size=1, max_size=len(VALUES)),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=4))
+    return bucketization_from_counts(
+        [dict(zip(VALUES, pool[i])) for i in picks], domain=VALUES
+    )
+
+
+@given(b13n=shared_histogram_bucketizations(), k_max=st.integers(0, 15))
+@settings(max_examples=100, deadline=None)
+def test_disclosure_vs_k_equals_per_k_reference(b13n, k_max):
+    points = disclosure_vs_k(b13n, k_max)
+    reference = per_k_reference(b13n, k_max)
+    assert points == reference
+    got, expected = io.StringIO(), io.StringIO()
+    emit_csv(points, got)
+    emit_csv(reference, expected)
+    assert got.getvalue() == expected.getvalue()
+
+
+def test_entropy_vs_disclosure_equals_per_k_reference():
+    # unsorted and repeated k keep their order and their repeats
+    family = SkewedSingleBucketFamily(domain_size=4, per_value=2)
+    k_list = [3, 0, 2, 2]
+    expected = []
+    for k in k_list:
+        best = {}
+        for h, b13n in family.members():
+            value = max_disclosure(b13n, k).disclosure
+            if h not in best or value < best[h]:
+                best[h] = value
+        expected += [CurvePoint(f"k={k}", h, v) for h, v in best.items()]
+    assert entropy_vs_disclosure(family, k_list) == expected
 
 
 def test_family_members():

@@ -135,6 +135,8 @@ def test_minimize_across_goldens(demo_bucketization):
         minimize_across_buckets(b, -1)
     with pytest.raises(ValidationError):
         minimize_across_buckets(Bucketization((), b.domain), 1)
+    with pytest.raises(ValidationError):
+        max_disclosure_negated_atoms(Bucketization((), b.domain), 1)
 
 
 def test_max_disclosure_demo_reports(demo_bucketization):
