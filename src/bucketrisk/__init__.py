@@ -18,11 +18,9 @@ from .curves import (
 )
 from .engine import (
     DisclosureReport,
-    EngineCacheInfo,
+    Engine,
     Placement,
     avoidance_probability,
-    cache_info,
-    clear_cache,
     disclosure_by_k,
     max_disclosure,
     max_disclosure_negated_atoms,
@@ -96,7 +94,7 @@ __all__ = [
     "CurvePoint",
     "DEFAULT_BUDGET",
     "DisclosureReport",
-    "EngineCacheInfo",
+    "Engine",
     "Hierarchy",
     "InconsistentKnowledgeError",
     "Knowledge",
@@ -112,8 +110,6 @@ __all__ = [
     "avoidance_probability",
     "binary_search_chain",
     "brute_force_max_disclosure",
-    "cache_info",
-    "clear_cache",
     "disclosure_by_k",
     "disclosure_vs_k",
     "dump_table",

@@ -4,8 +4,9 @@ Subcommands: disclose (worst-case disclosure of a bucketized table), oracle
 (exact posterior for explicit knowledge), anonymize (minimal safe
 generalizations), curve-k and curve-entropy (plot-ready CSV series).
 
-Exit codes: 0 success, 2 validation or parse error, 3 enumeration budget
-exceeded, 4 no safe generalization found.
+Exit codes: 0 success, 2 validation or parse error or an unreadable or
+unwritable file, 3 enumeration budget exceeded, 4 no safe generalization
+found.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ def handles_errors(fn):
         except BudgetExceededError as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(3)
-        except BucketRiskError as exc:
+        except (BucketRiskError, OSError, UnicodeDecodeError) as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(2)
 
@@ -248,16 +249,9 @@ def _parse_chain(spec: str, hierarchy) -> list[tuple[int, ...]]:
 @click.option("--k", type=int, required=True, help="attacker knowledge units")
 @click.option("--all-minimal", is_flag=True, help="search the whole lattice")
 @click.option("--chain", "chain_spec", help="binary-search this chain, e.g. Age=0..5,Sex=0..1")
-@click.option(
-    "--utility",
-    type=click.Choice(["height"]),
-    default="height",
-    show_default=True,
-    help="how to pick among minimal safe nodes",
-)
 @click.pass_obj
 @handles_errors
-def anonymize(obj, hierarchy_path, c_text, k, all_minimal, chain_spec, utility):
+def anonymize(obj, hierarchy_path, c_text, k, all_minimal, chain_spec):
     """Find generalizations keeping worst-case disclosure below c."""
     if all_minimal == bool(chain_spec):
         raise ValidationError("use exactly one of --all-minimal and --chain")
@@ -275,7 +269,7 @@ def anonymize(obj, hierarchy_path, c_text, k, all_minimal, chain_spec, utility):
         if not minimal:
             click.echo("no safe generalization in the lattice", err=True)
             sys.exit(4)
-        selected = select_by_utility(minimal, table, hierarchy)
+        selected = select_by_utility(minimal)
         lines = [f"minimal: {describe(node)}" for node in minimal]
         lines.append(f"selected: {describe(selected)}")
     else:

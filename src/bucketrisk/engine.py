@@ -30,11 +30,11 @@ unnormalized (numerator, denominator) integer pairs compared by
 cross-multiplication; ``None`` marks an infeasible state. Fractions appear
 only at the public boundary.
 
-Within-bucket tables are memoized per histogram (identical histograms share
-one table, and re-running after swapping buckets re-evaluates nothing for
-unchanged ones). The cache is module-global: see ``cache_info`` and
-``clear_cache``. Functions are deterministic and safe for concurrent readers;
-cache population is effectively atomic per entry under the GIL.
+Work is memoized in an ``Engine`` session: one within-bucket table per
+distinct histogram, shared by identical histograms, plus work counters.
+Every entry point takes ``engine=`` and makes a fresh session without one,
+so a one-shot call frees its tables on return; a caller that passes one
+session to many calls, such as a lattice search, shares them across those.
 """
 
 from __future__ import annotations
@@ -153,42 +153,43 @@ class _BucketTable:
         return tuple(parts)
 
 
-_TABLES: dict[tuple[int, ...], _BucketTable] = {}
-_LAST_ACROSS_ENTRIES = 0
+class Engine:
+    """One session of engine work: within-bucket tables and work counters.
+
+    ``tables`` maps histogram counts to a memoized within-bucket table;
+    ``across_entries`` sums the across-bucket entries of every sweep. A
+    session is not safe for concurrent use.
+    """
+
+    __slots__ = ("tables", "across_entries")
+
+    def __init__(self) -> None:
+        self.tables: dict[tuple[int, ...], _BucketTable] = {}
+        self.across_entries = 0
+
+    def table(self, counts: tuple[int, ...]) -> _BucketTable:
+        """The session's table for this histogram, made on first use."""
+        table = self.tables.get(counts)
+        if table is None:
+            table = self.tables[counts] = _BucketTable(counts)
+        return table
+
+    @property
+    def histograms(self) -> int:
+        return len(self.tables)
+
+    @property
+    def within_entries(self) -> dict[tuple[int, ...], int]:
+        return {c: len(t.memo) for c, t in self.tables.items()}
+
+    @property
+    def within_evaluations(self) -> int:
+        return sum(t.evaluations for t in self.tables.values())
 
 
-def _bucket_table(counts: tuple[int, ...]) -> _BucketTable:
-    table = _TABLES.get(counts)
-    if table is None:
-        table = _TABLES[counts] = _BucketTable(counts)
-    return table
-
-
-def clear_cache() -> None:
-    """Drop all memoized within-bucket tables."""
-    _TABLES.clear()
-
-
-@dataclass(frozen=True)
-class EngineCacheInfo:
-    """Snapshot of memoization state, for complexity and reuse measurements."""
-
-    histograms: int
-    within_entries: dict[tuple[int, ...], int]
-    within_evaluations: int
-    across_entries: int
-
-
-def cache_info() -> EngineCacheInfo:
-    return EngineCacheInfo(
-        histograms=len(_TABLES),
-        within_entries={c: len(t.memo) for c, t in _TABLES.items()},
-        within_evaluations=sum(t.evaluations for t in _TABLES.values()),
-        across_entries=_LAST_ACROSS_ENTRIES,
-    )
-
-
-def minimize_within_bucket(bucket: Bucket, k: int) -> tuple[Fraction, tuple[int, ...]]:
+def minimize_within_bucket(
+    bucket: Bucket, k: int, *, engine: Engine | None = None
+) -> tuple[Fraction, tuple[int, ...]]:
     """Minimum avoidance probability over k atoms in one bucket, with its shape.
 
     Returns the minimum over all valid per-person count partitions of
@@ -197,7 +198,7 @@ def minimize_within_bucket(bucket: Bucket, k: int) -> tuple[Fraction, tuple[int,
     """
     if k < 0:
         raise ValidationError("k must be non-negative")
-    table = _bucket_table(bucket.counts)
+    table = (engine or Engine()).table(bucket.counts)
     value = table.minimize(0, k, k)
     return Fraction(*value), table.best_partition(k)
 
@@ -233,7 +234,7 @@ def _saturation(buckets: Sequence[Bucket]) -> int:
 
 
 def _across_sweep(
-    buckets: Sequence[Bucket], k: int
+    buckets: Sequence[Bucket], k: int, engine: Engine
 ) -> tuple[list, list[list[int]], list[list[int]]]:
     """The across-bucket DP for up to k antecedent atoms, in one sweep.
 
@@ -247,7 +248,7 @@ def _across_sweep(
     wb: list[list[tuple[int, int]]] = []
     shape: list[tuple[int, int]] = []
     for b in buckets:
-        table = _bucket_table(b.counts)
+        table = engine.table(b.counts)
         wb.append([table.minimize(0, h, h) for h in range(k + 2)])
         shape.append((b.size, b.counts[0]))
 
@@ -319,14 +320,13 @@ def _across_sweep(
         choice_t[i] = ct
         choice_f[i] = cf
 
-    global _LAST_ACROSS_ENTRIES
-    _LAST_ACROSS_ENTRIES = 2 * m * (k + 1)
+    engine.across_entries += 2 * m * (k + 1)
     # the target atom can always be placed, so no entry of f_next is None
     return f_next, choice_t, choice_f
 
 
 def minimize_across_buckets(
-    bucketization: Bucketization, k: int
+    bucketization: Bucketization, k: int, *, engine: Engine | None = None
 ) -> tuple[Fraction, Placement]:
     """Minimum of r over all placements of the k+1 atoms, with the placement.
 
@@ -345,7 +345,7 @@ def minimize_across_buckets(
     m = len(buckets)
     if m == 0:
         raise ValidationError("empty bucketization")
-    row, choice_t, choice_f = _across_sweep(buckets, k)
+    row, choice_t, choice_f = _across_sweep(buckets, k, engine or Engine())
 
     atom_counts = [0] * m
     target_bucket = -1
@@ -369,7 +369,7 @@ def minimize_across_buckets(
 
 
 def disclosure_by_k(
-    bucketization: Bucketization, k_max: int
+    bucketization: Bucketization, k_max: int, *, engine: Engine | None = None
 ) -> tuple[list[Fraction], list[Fraction]]:
     """Worst-case disclosure for every k = 0..k_max, for both knowledge classes.
 
@@ -384,7 +384,8 @@ def disclosure_by_k(
     buckets = bucketization.buckets
     cap = min(k_max, _saturation(buckets))
     saturated = [Fraction(1)] * (k_max - cap)
-    implications = [Fraction(d, n + d) for n, d in _across_sweep(buckets, cap)[0]]
+    row = _across_sweep(buckets, cap, engine or Engine())[0]
+    implications = [Fraction(d, n + d) for n, d in row]
     return implications + saturated, _negated_atoms_series(buckets, cap) + saturated
 
 
@@ -434,9 +435,12 @@ def _partition_atoms(
     return atoms
 
 
-def max_disclosure(bucketization: Bucketization, k: int) -> DisclosureReport:
+def max_disclosure(
+    bucketization: Bucketization, k: int, *, engine: Engine | None = None
+) -> DisclosureReport:
     """Worst-case posterior over conjunctions of k implications, with witness."""
-    ratio, placement = minimize_across_buckets(bucketization, k)
+    engine = engine or Engine()
+    ratio, placement = minimize_across_buckets(bucketization, k, engine=engine)
     disclosure = Fraction(
         ratio.denominator, ratio.numerator + ratio.denominator
     )
@@ -448,10 +452,10 @@ def max_disclosure(bucketization: Bucketization, k: int) -> DisclosureReport:
     for i, b in enumerate(buckets):
         budget = placement.atom_counts[i]
         if i == placement.target_bucket:
-            parts = _bucket_table(b.counts).best_partition(budget + 1)
+            parts = engine.table(b.counts).best_partition(budget + 1)
             antecedents.extend(_partition_atoms(b, parts, skip_first=True))
         elif budget:
-            parts = _bucket_table(b.counts).best_partition(budget)
+            parts = engine.table(b.counts).best_partition(budget)
             antecedents.extend(_partition_atoms(b, parts, skip_first=False))
 
     implications = [simple_implication(a, target) for a in antecedents]

@@ -16,9 +16,9 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable, Iterable, Sequence, TextIO, Union
+from typing import Iterable, Sequence, TextIO, Union
 
-from .engine import max_disclosure
+from .engine import Engine, max_disclosure
 from .errors import BudgetExceededError, ValidationError
 from .table import Bucketization, Table, _bucketize
 
@@ -217,8 +217,11 @@ class SafetyThreshold:
             raise ValidationError("threshold k must be non-negative")
 
 
-def is_safe(bucketization: Bucketization, threshold: SafetyThreshold) -> bool:
-    return max_disclosure(bucketization, threshold.k).disclosure < threshold.c
+def is_safe(
+    bucketization: Bucketization, threshold: SafetyThreshold, *, engine: Engine | None = None
+) -> bool:
+    disclosure = max_disclosure(bucketization, threshold.k, engine=engine).disclosure
+    return disclosure < threshold.c
 
 
 def binary_search_chain(
@@ -231,7 +234,7 @@ def binary_search_chain(
 
     Safety is monotone going up the lattice, so the safe nodes form a suffix
     of the chain and binary search finds its first element with O(log) safety
-    evaluations.
+    evaluations, all in one engine session.
     """
     nodes = sorted(
         {hierarchy.check_node(n) for n in chain},
@@ -244,7 +247,8 @@ def binary_search_chain(
             raise ValidationError(
                 f"chain nodes {below} and {above} are not ordered"
             )
-    safe = lambda node: is_safe(apply(table, hierarchy, node), threshold)
+    engine = Engine()
+    safe = lambda node: is_safe(apply(table, hierarchy, node), threshold, engine=engine)
     low, high = 0, len(nodes) - 1
     if not safe(nodes[high]):
         return None
@@ -269,33 +273,29 @@ def all_minimal_safe(
     Sweeps the lattice bottom-up by total generalization height. A node
     dominating an already-found safe node is skipped: whatever its safety, it
     cannot be minimal. The result is an antichain, sorted by (height, vector).
+    All evaluated nodes share one engine session.
     """
     size = hierarchy.size()
     if size > budget:
         raise BudgetExceededError(size, budget)
     order = sorted(hierarchy.nodes(), key=lambda n: (sum(n), n))
     minimal: list[Node] = []
+    engine = Engine()
     for node in order:
         if any(all(n >= m for n, m in zip(node, found)) for found in minimal):
             continue
-        if is_safe(apply(table, hierarchy, node), threshold):
+        if is_safe(apply(table, hierarchy, node), threshold, engine=engine):
             minimal.append(node)
     return minimal
 
 
-def height_utility(node: Node, table=None, hierarchy=None):
-    """Default utility cost: total generalization height, ties lexicographic."""
+def height_utility(node: Node) -> tuple[int, Node]:
+    """Utility cost: total generalization height, ties lexicographic."""
     return (sum(node), tuple(node))
 
 
-def select_by_utility(
-    nodes: Sequence[Node],
-    table: Table | None = None,
-    hierarchy: Hierarchy | None = None,
-    metric: Callable | None = None,
-) -> Node:
-    """Pick the candidate with the least utility cost (default: height)."""
+def select_by_utility(nodes: Sequence[Node]) -> Node:
+    """Pick the candidate with the least utility cost (``height_utility``)."""
     if not nodes:
         raise ValidationError("no candidate nodes")
-    cost = metric or height_utility
-    return min(nodes, key=lambda n: cost(n, table, hierarchy))
+    return min(nodes, key=height_utility)

@@ -16,14 +16,13 @@ from bucketrisk import (
     Atom,
     BasicImplication,
     Bucketization,
+    Engine,
     Knowledge,
     SafetyThreshold,
     SkewedSingleBucketFamily,
     all_minimal_safe,
     apply,
     avoidance_probability,
-    cache_info,
-    clear_cache,
     disclosure_vs_k,
     entropy_vs_disclosure,
     exact_posterior,
@@ -300,15 +299,14 @@ def test_criterion_7_complexity_scaling():
         )
     big = Bucketization(tuple(buckets), domain)
 
-    clear_cache()
+    session = Engine()
     started = time.perf_counter()
-    report = max_disclosure(big, 12)
+    report = max_disclosure(big, 12, engine=session)
     elapsed = time.perf_counter() - started
     assert elapsed < 10.0
-    info = cache_info()
-    for entries in info.within_entries.values():
+    for entries in session.within_entries.values():
         assert entries <= 27 * 12**3
-    assert info.across_entries <= 4 * len(big.buckets) * 12
+    assert session.across_entries <= 4 * len(big.buckets) * 12
     assert report.disclosure == Fraction(30, 31)  # non-degenerate optimum
 
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from click.testing import CliRunner
 
-from bucketrisk import cache_info, read_csv
+from bucketrisk import Engine, disclosure_by_k, read_csv
 from bucketrisk.cli import main
 from conftest import DATA
 
@@ -77,6 +77,35 @@ def test_disclose_requires_table(runner):
     r = runner.invoke(main, ["disclose", "--k", "1"])
     assert r.exit_code == 2
     assert "--table is required" in r.stderr
+
+
+def _not_utf8_table(tmp_path):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(b"Name,Sex,Disease\nAl,M,Gr\xfcn\n")
+    return ["--table", str(path), "--sensitive", "Disease", "disclose", "--k", "1"]
+
+
+UNREADABLE = {
+    "table": lambda d: ["--table", str(d / "nope.csv"), "--sensitive", "Disease",
+                        "disclose", "--k", "1"],
+    "hierarchy": lambda d: [*TABLE_ARGS, "anonymize", "--hierarchy", str(d / "nope.json"),
+                            "--c", "1/2", "--k", "1", "--all-minimal"],
+    "knowledge": lambda d: [*TABLE_ARGS, "oracle", "--knowledge", str(d / "nope.bk"),
+                            "--target", "Bob=Flu"],
+    "domain-is-directory": lambda d: [*TABLE_ARGS, "--domain", str(d), "disclose", "--k", "1"],
+    "out-in-missing-directory": lambda d: [*TABLE_ARGS, "--out", str(d / "missing" / "x"),
+                                           "disclose", "--k", "1"],
+    "table-not-utf8": _not_utf8_table,
+}
+
+
+@pytest.mark.parametrize("case", list(UNREADABLE))
+def test_unreadable_file_exits_2(runner, tmp_path, case):
+    r = runner.invoke(main, UNREADABLE[case](tmp_path))
+    assert r.exit_code == 2
+    assert r.stderr.startswith("error: ")
+    assert "Traceback" not in r.stderr
+    assert r.stdout == ""
 
 
 def test_oracle_golden(runner):
@@ -229,7 +258,9 @@ def test_curve_k_large_k_max_stops_at_saturation(runner, demo_bucketization):
     buckets = demo_bucketization.buckets
     cap = min(len(b.histogram) for b in buckets) - 1
     assert cap == 2
-    assert cache_info().across_entries <= 2 * len(buckets) * (cap + 1)
+    session = Engine()
+    disclosure_by_k(demo_bucketization, 6000, engine=session)
+    assert session.across_entries <= 2 * len(buckets) * (cap + 1)
 
 
 def test_curve_entropy(runner):

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -7,14 +8,17 @@ from hypothesis import given, settings, strategies as st
 from bucketrisk import (
     Atom,
     Bucketization,
+    Engine,
     Knowledge,
     Placement,
+    SafetyThreshold,
     ValidationError,
+    all_minimal_safe,
     avoidance_probability,
-    cache_info,
-    clear_cache,
+    disclosure_by_k,
     exact_posterior,
     knowledge_probability,
+    load_hierarchy,
     make_bucket,
     max_disclosure,
     max_disclosure_negated_atoms,
@@ -23,8 +27,10 @@ from bucketrisk import (
     negation_as_implication,
     simple_implication,
 )
+from bucketrisk import engine as engine_module
 from bucketrisk.oracle import NEGATED_ATOMS, brute_force_max_disclosure
-from helpers import random_bucketization
+from conftest import DATA
+from helpers import bucketization_from_counts, random_bucketization
 
 
 def bucket_from_counts(counts):
@@ -227,10 +233,10 @@ def test_negated_closed_form_matches_oracle():
 
 
 def test_cache_reuse_across_renamed_buckets(demo_bucketization):
-    clear_cache()
-    first = max_disclosure(demo_bucketization, 3)
-    snapshot = cache_info()
-    assert snapshot.histograms == 2
+    session = Engine()
+    first = max_disclosure(demo_bucketization, 3, engine=session)
+    histograms, evaluations = session.histograms, session.within_evaluations
+    assert histograms == 2
     renamed = Bucketization(
         tuple(
             make_bucket(
@@ -242,22 +248,68 @@ def test_cache_reuse_across_renamed_buckets(demo_bucketization):
         ),
         demo_bucketization.domain,
     )
-    second = max_disclosure(renamed, 3)
-    after = cache_info()
+    second = max_disclosure(renamed, 3, engine=session)
     assert second.disclosure == first.disclosure
-    assert after.within_evaluations == snapshot.within_evaluations
-    assert after.histograms == snapshot.histograms
+    assert session.within_evaluations == evaluations
+    assert session.histograms == histograms
 
 
 def test_memo_bounds():
-    clear_cache()
     rng = random.Random(5)
     for _ in range(6):
         b = random_bucketization(rng)
         for k in (1, 2, 5):
-            clear_cache()
-            max_disclosure(b, k)
-            info = cache_info()
-            for entries in info.within_entries.values():
+            session = Engine()
+            max_disclosure(b, k, engine=session)
+            for entries in session.within_entries.values():
                 assert entries <= 27 * max(1, k) ** 3
-            assert info.across_entries == 2 * len(b.buckets) * (k + 1)
+            assert session.across_entries == 2 * len(b.buckets) * (k + 1)
+
+
+def test_sessions_keep_their_own_counters(demo_bucketization):
+    b, m = demo_bucketization, len(demo_bucketization.buckets)
+    mine, other = Engine(), Engine()
+    max_disclosure(b, 3, engine=mine)
+    assert mine.across_entries == 2 * m * 4
+    disclosure_by_k(b, 1, engine=other)
+    max_disclosure(b, 5)
+    disclosure_by_k(b, 2)
+    assert mine.across_entries == 2 * m * 4
+    assert other.across_entries == 2 * m * 2
+    max_disclosure(b, 3, engine=mine)  # summed over the session's sweeps
+    assert mine.across_entries == 2 * 2 * m * 4
+
+
+def test_session_holds_only_its_histograms():
+    max_disclosure(bucketization_from_counts([{"a": 5, "b": 1}]), 4)
+    b = bucketization_from_counts(
+        [{"a": 2, "b": 1}, {"c": 2, "d": 1}, {"a": 1, "b": 1}, {"c": 3}]
+    )
+    session = Engine()
+    max_disclosure(b, 2, engine=session)
+    assert set(session.tables) == {(2, 1), (1, 1), (3,)}
+    assert session.histograms == 3
+
+
+def test_engine_module_holds_no_mutable_state():
+    mutable = [
+        name
+        for name, value in vars(engine_module).items()
+        if not name.startswith("__") and isinstance(value, (dict, list, set))
+    ]
+    assert mutable == []
+
+
+def test_lattice_search_builds_each_histogram_once(monkeypatch, demo_table):
+    built = Counter()
+
+    class CountingTable(engine_module._BucketTable):
+        def __init__(self, counts):
+            built[counts] += 1
+            super().__init__(counts)
+
+    monkeypatch.setattr(engine_module, "_BucketTable", CountingTable)
+    hierarchy = load_hierarchy(DATA / "clinic-hierarchy.json")
+    found = all_minimal_safe(demo_table, hierarchy, SafetyThreshold(Fraction(7, 10), 1))
+    assert found == [(1, 1, 0)]
+    assert built and max(built.values()) == 1

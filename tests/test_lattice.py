@@ -292,7 +292,3 @@ def test_select_by_utility():
     assert select_by_utility([(1, 0, 0)]) == (1, 0, 0)
     with pytest.raises(ValidationError):
         select_by_utility([])
-    tallest = select_by_utility(
-        [(2, 0), (0, 1)], metric=lambda n, t, h: -sum(n)
-    )
-    assert tallest == (2, 0)
