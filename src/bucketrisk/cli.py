@@ -101,14 +101,9 @@ def _load_table(obj) -> Table:
         raise ValidationError("--table is required for this command")
     if not obj["sensitive"]:
         raise ValidationError("--sensitive is required for this command")
-    extra = ()
-    if obj["domain_path"]:
-        extra = read_domain(obj["domain_path"])
+    extra = read_domain(obj["domain_path"]) if obj["domain_path"] else ()
     return load_table(
-        obj["table_path"],
-        obj["sensitive"],
-        id_column=obj["id_column"],
-        extra_domain=extra,
+        obj["table_path"], obj["sensitive"], id_column=obj["id_column"], extra_domain=extra
     )
 
 
@@ -132,10 +127,7 @@ def _emit_text(obj, lines) -> None:
 
 
 def _emit_points(obj, points) -> None:
-    if obj["out_path"]:
-        emit_csv(points, obj["out_path"])
-    else:
-        emit_csv(points, sys.stdout)
+    emit_csv(points, obj["out_path"] or sys.stdout)
 
 
 @main.command()
@@ -186,12 +178,9 @@ def oracle(obj, knowledge_path, target, group_by):
     """Exact posterior of one atom given explicit knowledge, by enumeration."""
     table = _load_table(obj)
     bucketization = _bucketize(obj, table, group_by)
+    knowledge = Knowledge()
     if knowledge_path:
-        knowledge = parse_knowledge(
-            Path(knowledge_path).read_text(encoding="utf-8"), table
-        )
-    else:
-        knowledge = Knowledge()
+        knowledge = parse_knowledge(Path(knowledge_path).read_text(encoding="utf-8"), table)
     atom = parse_atom(target)
     value = exact_posterior(bucketization, knowledge, atom, budget=obj["budget"])
     _emit_text(obj, [f"posterior: {_fmt(value)}"])

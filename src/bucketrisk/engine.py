@@ -35,10 +35,14 @@ distinct histogram, shared by identical histograms, plus work counters.
 Every entry point takes ``engine=`` and makes a fresh session without one,
 so a one-shot call frees its tables on return; a caller that passes one
 session to many calls, such as a lattice search, shares them across those.
+``clear_cache()`` installs a session that calls without ``engine=`` then
+share in the current context, and ``cache_info()`` returns it; the
+benchmark's traced probe (``perfbench/run.py``) times the engine that way.
 """
 
 from __future__ import annotations
 
+from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -187,6 +191,27 @@ class Engine:
         return sum(t.evaluations for t in self.tables.values())
 
 
+# Calls without engine= share this session once clear_cache() installs one.
+_INSTALLED: ContextVar[Engine | None] = ContextVar("bucketrisk_engine", default=None)
+
+
+def _session(engine: Engine | None) -> Engine:
+    """The given session, else the installed one, else a fresh one."""
+    if engine is None:
+        engine = _INSTALLED.get()
+    return Engine() if engine is None else engine
+
+
+def clear_cache() -> None:
+    """Make calls without ``engine=`` in this context share a new, empty session."""
+    _INSTALLED.set(Engine())
+
+
+def cache_info() -> Engine | None:
+    """The session installed by ``clear_cache()`` in this context, or None."""
+    return _INSTALLED.get()
+
+
 def minimize_within_bucket(
     bucket: Bucket, k: int, *, engine: Engine | None = None
 ) -> tuple[Fraction, tuple[int, ...]]:
@@ -198,7 +223,7 @@ def minimize_within_bucket(
     """
     if k < 0:
         raise ValidationError("k must be non-negative")
-    table = (engine or Engine()).table(bucket.counts)
+    table = _session(engine).table(bucket.counts)
     value = table.minimize(0, k, k)
     return Fraction(*value), table.best_partition(k)
 
@@ -345,7 +370,7 @@ def minimize_across_buckets(
     m = len(buckets)
     if m == 0:
         raise ValidationError("empty bucketization")
-    row, choice_t, choice_f = _across_sweep(buckets, k, engine or Engine())
+    row, choice_t, choice_f = _across_sweep(buckets, k, _session(engine))
 
     atom_counts = [0] * m
     target_bucket = -1
@@ -384,7 +409,7 @@ def disclosure_by_k(
     buckets = bucketization.buckets
     cap = min(k_max, _saturation(buckets))
     saturated = [Fraction(1)] * (k_max - cap)
-    row = _across_sweep(buckets, cap, engine or Engine())[0]
+    row = _across_sweep(buckets, cap, _session(engine))[0]
     implications = [Fraction(d, n + d) for n, d in row]
     return implications + saturated, _negated_atoms_series(buckets, cap) + saturated
 
@@ -439,7 +464,7 @@ def max_disclosure(
     bucketization: Bucketization, k: int, *, engine: Engine | None = None
 ) -> DisclosureReport:
     """Worst-case posterior over conjunctions of k implications, with witness."""
-    engine = engine or Engine()
+    engine = _session(engine)
     ratio, placement = minimize_across_buckets(bucketization, k, engine=engine)
     disclosure = Fraction(
         ratio.denominator, ratio.numerator + ratio.denominator

@@ -191,16 +191,8 @@ def leq(finer: Bucketization, coarser: Bucketization) -> bool:
     """True iff every coarser bucket is a union of finer buckets."""
     if finer.person_ids != coarser.person_ids:
         raise ValidationError("bucketizations cover different person sets")
-    home = {
-        person: bucket.bucket_id
-        for bucket in coarser.buckets
-        for person in bucket.members
-    }
-    for bucket in finer.buckets:
-        targets = {home[person] for person in bucket.members}
-        if len(targets) > 1:
-            return False
-    return True
+    home = {person: bucket.bucket_id for bucket in coarser.buckets for person in bucket.members}
+    return all(len({home[person] for person in b.members}) <= 1 for b in finer.buckets)
 
 
 @dataclass(frozen=True)
@@ -236,10 +228,7 @@ def binary_search_chain(
     of the chain and binary search finds its first element with O(log) safety
     evaluations, all in one engine session.
     """
-    nodes = sorted(
-        {hierarchy.check_node(n) for n in chain},
-        key=lambda n: (sum(n), n),
-    )
+    nodes = sorted({hierarchy.check_node(n) for n in chain}, key=height_utility)
     if not nodes:
         raise ValidationError("empty chain")
     for below, above in zip(nodes, nodes[1:]):

@@ -1,3 +1,4 @@
+import contextvars
 import random
 from collections import Counter
 from fractions import Fraction
@@ -298,6 +299,30 @@ def test_engine_module_holds_no_mutable_state():
         if not name.startswith("__") and isinstance(value, (dict, list, set))
     ]
     assert mutable == []
+
+
+def test_installed_session_serves_calls_without_engine(demo_bucketization):
+    b, m = demo_bucketization, len(demo_bucketization.buckets)
+    outside = engine_module.cache_info()
+
+    def calls():
+        max_disclosure(b, 3)
+        assert engine_module.cache_info() is None  # a one-shot call keeps nothing
+        engine_module.clear_cache()
+        installed = engine_module.cache_info()
+        max_disclosure(b, 3)
+        evaluations = installed.within_evaluations
+        assert installed.histograms > 0 and evaluations > 0
+        minimize_across_buckets(b, 3)
+        assert installed.within_evaluations == evaluations  # its tables are reused
+        max_disclosure(b, 3, engine=Engine())
+        assert installed.across_entries == 2 * 2 * m * 4
+        engine_module.clear_cache()
+        assert engine_module.cache_info() is not installed
+        assert engine_module.cache_info().histograms == 0
+
+    contextvars.Context().run(calls)
+    assert engine_module.cache_info() is outside  # the install stayed in its context
 
 
 def test_lattice_search_builds_each_histogram_once(monkeypatch, demo_table):
