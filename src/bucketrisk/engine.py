@@ -245,7 +245,7 @@ class Placement:
     atom_counts: tuple[int, ...]
 
 
-def _saturation(buckets: Sequence[Bucket]) -> int:
+def _saturation(histograms: Sequence[tuple[int, ...]]) -> int:
     """The k from which both knowledge classes disclose exactly 1: d_min - 1.
 
     In a bucket of d_min distinct values, one person can carry the target
@@ -253,29 +253,31 @@ def _saturation(buckets: Sequence[Bucket]) -> int:
     other values. No world then gives that person another value, so r = 0
     and the disclosure is 1; more knowledge cannot lower a worst case.
     """
-    if not buckets:
+    if not histograms:
         raise ValidationError("empty bucketization")
-    return min(len(b.histogram) for b in buckets) - 1
+    return min(map(len, histograms)) - 1
 
 
 def _across_sweep(
-    buckets: Sequence[Bucket], k: int, engine: Engine
+    histograms: Sequence[tuple[int, ...]], k: int, engine: Engine
 ) -> tuple[list, list[list[int]], list[list[int]]]:
     """The across-bucket DP for up to k antecedent atoms, in one sweep.
 
-    Returns the row at bucket 0 with the target still to place, whose entry
-    h is the minimum r, as an unnormalized pair, over placements of the
-    target plus h atoms, and the back-pointer tables for that row. Entry h
-    reads only entries h' <= h and within-bucket minima for up to h+1
-    atoms, so a sweep at k holds the exact answer for every h <= k.
+    ``histograms`` holds each bucket's counts, sorted in descending order;
+    the DP reads nothing else of a bucket. Returns the row at bucket 0 with
+    the target still to place, whose entry h is the minimum r, as an
+    unnormalized pair, over placements of the target plus h atoms, and the
+    back-pointer tables for that row. Entry h reads only entries h' <= h and
+    within-bucket minima for up to h+1 atoms, so a sweep at k holds the
+    exact answer for every h <= k.
     """
-    m = len(buckets)
+    m = len(histograms)
     wb: list[list[tuple[int, int]]] = []
     shape: list[tuple[int, int]] = []
-    for b in buckets:
-        table = engine.table(b.counts)
+    for counts in histograms:
+        table = engine.table(counts)
         wb.append([table.minimize(0, h, h) for h in range(k + 2)])
-        shape.append((b.size, b.counts[0]))
+        shape.append((table.n, counts[0]))
 
     # base rows: past the last bucket, feasible iff nothing left to place and
     # the target was placed somewhere
@@ -366,11 +368,11 @@ def minimize_across_buckets(
     """
     if k < 0:
         raise ValidationError("k must be non-negative")
-    buckets = bucketization.buckets
-    m = len(buckets)
+    histograms = [b.counts for b in bucketization.buckets]
+    m = len(histograms)
     if m == 0:
         raise ValidationError("empty bucketization")
-    row, choice_t, choice_f = _across_sweep(buckets, k, _session(engine))
+    row, choice_t, choice_f = _across_sweep(histograms, k, _session(engine))
 
     atom_counts = [0] * m
     target_bucket = -1
@@ -406,12 +408,12 @@ def disclosure_by_k(
     """
     if k_max < 0:
         raise ValidationError("k_max must be non-negative")
-    buckets = bucketization.buckets
-    cap = min(k_max, _saturation(buckets))
+    histograms = [b.counts for b in bucketization.buckets]
+    cap = min(k_max, _saturation(histograms))
     saturated = [Fraction(1)] * (k_max - cap)
-    row = _across_sweep(buckets, cap, _session(engine))[0]
+    row = _across_sweep(histograms, cap, _session(engine))[0]
     implications = [Fraction(d, n + d) for n, d in row]
-    return implications + saturated, _negated_atoms_series(buckets, cap) + saturated
+    return implications + saturated, _negated_atoms_series(histograms, cap) + saturated
 
 
 # ============================================================================
@@ -501,14 +503,16 @@ def max_disclosure(
     )
 
 
-def _negated_atoms_series(buckets: Sequence[Bucket], k: int) -> list[Fraction]:
+def _negated_atoms_series(
+    histograms: Sequence[tuple[int, ...]], k: int
+) -> list[Fraction]:
     """The negated-atoms bound for every k' <= k, for k up to saturation.
 
     Prefix sums run once per distinct histogram, candidates are compared by
     cross-multiplication, and a Fraction is built only for each k's maximum.
     """
     best = [(0, 1)] * (k + 1)
-    for counts in dict.fromkeys(b.counts for b in buckets):
+    for counts in dict.fromkeys(histograms):
         top, n = counts[0], sum(counts)
         covered = 0
         for j in range(k + 1):
@@ -532,5 +536,5 @@ def max_disclosure_negated_atoms(bucketization: Bucketization, k: int) -> Fracti
     """
     if k < 0:
         raise ValidationError("k must be non-negative")
-    buckets = bucketization.buckets
-    return _negated_atoms_series(buckets, min(k, _saturation(buckets)))[-1]
+    histograms = [b.counts for b in bucketization.buckets]
+    return _negated_atoms_series(histograms, min(k, _saturation(histograms)))[-1]

@@ -85,6 +85,15 @@ def _not_utf8_table(tmp_path):
     return ["--table", str(path), "--sensitive", "Disease", "disclose", "--k", "1"]
 
 
+def _bad_hierarchy(text):
+    def args(d):
+        (d / "h.json").write_text(text)
+        return [*TABLE_ARGS, "anonymize", "--hierarchy", str(d / "h.json"),
+                "--c", "1/2", "--k", "1", "--all-minimal"]
+
+    return args
+
+
 UNREADABLE = {
     "table": lambda d: ["--table", str(d / "nope.csv"), "--sensitive", "Disease",
                         "disclose", "--k", "1"],
@@ -96,6 +105,10 @@ UNREADABLE = {
     "out-in-missing-directory": lambda d: [*TABLE_ARGS, "--out", str(d / "missing" / "x"),
                                            "disclose", "--k", "1"],
     "table-not-utf8": _not_utf8_table,
+    "hierarchy-deeply-nested": _bad_hierarchy("[" * 200_000),
+    "hierarchy-splits-above-suppress": _bad_hierarchy(
+        '{"Zip": ["suppress", {"14850": "x", "14853": "y"}]}'
+    ),
 }
 
 
@@ -105,6 +118,32 @@ def test_unreadable_file_exits_2(runner, tmp_path, case):
     assert r.exit_code == 2
     assert r.stderr.startswith("error: ")
     assert "Traceback" not in r.stderr
+    assert r.stdout == ""
+
+
+SEARCH_FAILURES = {
+    "missing-value": ('{"A": [{"a1": "g", "a2": "g"}], "B": [{"b1": "h", "b2": "h"}]}',
+                      "A=0..1,B=0..1",
+                      "error: attribute 'B': value 'bX' missing from level 1\n"),
+    "missing-attribute": ('{"A": ["suppress"], "Nope": ["suppress"]}',
+                          "A=0..1,Nope=0..1",
+                          "error: hierarchy attribute 'Nope' not in table\n"),
+}
+
+
+@pytest.mark.parametrize("case", list(SEARCH_FAILURES))
+@pytest.mark.parametrize("mode", ["--all-minimal", "--chain"])
+def test_anonymize_search_failure_exits_2(runner, tmp_path, case, mode):
+    text, chain, stderr = SEARCH_FAILURES[case]
+    (tmp_path / "t.csv").write_text("id,A,B,S\np0,a1,bX,s\np1,aX,b1,t\np2,a1,b1,t\n")
+    (tmp_path / "h.json").write_text(text)
+    search = [mode] if mode == "--all-minimal" else [mode, chain]
+    r = runner.invoke(main, [
+        "--table", str(tmp_path / "t.csv"), "--sensitive", "S", "--id", "id",
+        "anonymize", "--hierarchy", str(tmp_path / "h.json"), "--c", "0", "--k", "1", *search,
+    ])
+    assert r.exit_code == 2
+    assert r.stderr == stderr
     assert r.stdout == ""
 
 

@@ -4,7 +4,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import bucketrisk.lattice as lattice_module
 from bucketrisk import (
     BudgetExceededError,
     Hierarchy,
@@ -63,6 +65,27 @@ def test_hierarchy_must_refine():
         "A": [{"a": "g", "b": "g", "c": "h"}, "suppress"],
     }
     assert load_hierarchy(io.StringIO(json.dumps(good))).max_level("A") == 2
+
+
+def test_hierarchy_must_stay_suppressed():
+    # above a suppress level every raw value shares one label
+    for split in (
+        {"Zip": ["suppress", {"a": "x", "b": "y"}]},
+        {"Zip": ["suppress", "identity"]},
+        {"Zip": [{"a": "g", "b": "g"}, "suppress", {"a": "x", "b": "y"}]},
+    ):
+        with pytest.raises(ValidationError, match="labeled '\\*' at level .* split apart"):
+            load_hierarchy(io.StringIO(json.dumps(split)))
+    for whole in (
+        {"Zip": ["suppress", "suppress"]},
+        {"Zip": ["suppress", {"a": "x", "b": "x"}]},
+    ):
+        assert load_hierarchy(io.StringIO(json.dumps(whole))).max_level("Zip") == 2
+
+
+def test_load_hierarchy_rejects_deep_nesting():
+    with pytest.raises(ValidationError, match="hierarchy is not valid JSON"):
+        load_hierarchy(io.StringIO("[" * 200_000))
 
 
 def test_hierarchy_level_key_sets_must_agree():
@@ -292,3 +315,67 @@ def test_select_by_utility():
     assert select_by_utility([(1, 0, 0)]) == (1, 0, 0)
     with pytest.raises(ValidationError):
         select_by_utility([])
+
+
+@given(seed=st.integers(min_value=0, max_value=10_000))
+@settings(max_examples=60, deadline=None)
+def test_rollup_equals_apply(seed):
+    table, hierarchy = random_table_and_hierarchy(random.Random(seed))
+    bottom = lattice_module._bottom_tallies(table, hierarchy)
+    for node in hierarchy.nodes():
+        applied = apply(table, hierarchy, node)
+        histograms = lattice_module._rollup(bottom, hierarchy, node)
+        assert histograms == [b.counts for b in applied.buckets]  # same order, too
+        for k in range(4):
+            disclosure = max_disclosure(applied, k).disclosure
+            for c in (disclosure, (disclosure + 1) / 2, Fraction(1)):
+                threshold = SafetyThreshold(c, k)
+                expected = disclosure < c
+                assert is_safe(histograms, threshold) == expected
+                assert is_safe(applied, threshold) == expected
+
+
+def missing_value_fixture():
+    # record p0 fails on B and record p1 on A, so record order picks B
+    table = load_table(
+        io.StringIO("id,A,B,S\np0,a1,bX,s\np1,aX,b1,t\np2,a1,b1,t\n"),
+        "S",
+        id_column="id",
+    )
+    hierarchy = Hierarchy(
+        ("A", "B"),
+        {"A": ({"a1": "g", "a2": "g"},), "B": ({"b1": "h", "b2": "h"},)},
+    )
+    return table, hierarchy
+
+
+SEARCH_ERRORS = {
+    "missing-value": "attribute 'B': value 'bX' missing from level 1",
+    "missing-attribute": "hierarchy attribute 'Nope' not in table",
+}
+
+
+@pytest.mark.parametrize("case", list(SEARCH_ERRORS))
+def test_search_errors_match_apply(case):
+    table, hierarchy = missing_value_fixture()
+    if case == "missing-attribute":
+        hierarchy = Hierarchy(("A", "Nope"), {"A": ("suppress",), "Nope": ("suppress",)})
+    never_safe = SafetyThreshold(Fraction(0), 1)  # no pruning: every node is evaluated
+
+    def first_error(nodes):
+        for node in nodes:
+            try:
+                apply(table, hierarchy, node)
+            except ValidationError as exc:
+                return str(exc)
+        raise AssertionError("no node fails")
+
+    order = sorted(hierarchy.nodes(), key=lambda n: (sum(n), n))
+    with pytest.raises(ValidationError) as e:
+        all_minimal_safe(table, hierarchy, never_safe)
+    assert str(e.value) == first_error(order) == SEARCH_ERRORS[case]
+    # a chain evaluates its top node first
+    chain = [hierarchy.bottom(), hierarchy.top()]
+    with pytest.raises(ValidationError) as e:
+        binary_search_chain(table, hierarchy, chain, never_safe)
+    assert str(e.value) == first_error([hierarchy.top()]) == SEARCH_ERRORS[case]
