@@ -71,7 +71,6 @@ from .oracle import (
 from .table import (
     Bucket,
     Bucketization,
-    Record,
     Table,
     dump_table,
     load_table,
@@ -100,7 +99,6 @@ __all__ = [
     "Knowledge",
     "ParseError",
     "Placement",
-    "Record",
     "SafetyThreshold",
     "SkewedSingleBucketFamily",
     "Table",

@@ -5,8 +5,8 @@ Subcommands: disclose (worst-case disclosure of a bucketized table), oracle
 generalizations), curve-k and curve-entropy (plot-ready CSV series).
 
 Exit codes: 0 success, 2 validation or parse error or an unreadable or
-unwritable file, 3 enumeration budget exceeded, 4 no safe generalization
-found.
+unwritable file, 3 enumeration or work budget exceeded, 4 no safe
+generalization found.
 """
 
 from __future__ import annotations
@@ -79,7 +79,7 @@ def handles_errors(fn):
     type=int,
     default=DEFAULT_BUDGET,
     show_default=True,
-    help="largest enumeration the exact oracle or lattice search may attempt",
+    help="largest enumeration or amount of work a command may attempt",
 )
 @click.option("--out", "out_path", type=click.Path(), help="write output here instead of stdout")
 @click.pass_context
@@ -118,6 +118,12 @@ def _bucketize(obj, table: Table, group_by: str | None):
     return partition(table, by=())
 
 
+def _check_work(obj, work: int) -> None:
+    """Refuse, before allocating, a command whose work exceeds --budget."""
+    if work > obj["budget"]:
+        raise BudgetExceededError(work, obj["budget"])
+
+
 def _emit_text(obj, lines) -> None:
     text = "\n".join(lines) + "\n"
     if obj["out_path"]:
@@ -153,6 +159,11 @@ def disclose(obj, k, knowledge_class, witness, group_by):
         value = max_disclosure_negated_atoms(bucketization, k)
         lines.append(f"disclosure: {_fmt(value)}")
     else:
+        # across-bucket cells, plus within-bucket states per distinct histogram
+        side = max(k, 0) + 1
+        sizes = {b.counts: b.size for b in bucketization.buckets}
+        states = sum(min(n, side) for n in sizes.values())
+        _check_work(obj, (len(bucketization.buckets) + states) * side * side)
         report = max_disclosure(bucketization, k)
         lines.append(f"disclosure: {_fmt(report.disclosure)}")
         if witness:
@@ -281,12 +292,16 @@ def anonymize(obj, hierarchy_path, c_text, k, all_minimal, chain_spec):
 def curve_k(obj, k_max, group_by, sample, seed):
     """Emit disclosure-vs-k series for implications and negations."""
     table = _load_table(obj)
+    _check_work(obj, 2 * (k_max + 1))  # output rows
     if sample is not None:
         if not 0 < sample <= 1:
             raise ValidationError("--sample must be in (0, 1]")
-        keep = max(1, round(sample * len(table.records)))
-        records = tuple(random.Random(seed).sample(table.records, keep))
-        table = Table(table.attributes, table.sensitive_attribute, records, table.domain)
+        n = len(table.person_ids)
+        rows = random.Random(seed).sample(range(n), max(1, round(sample * n)))
+        pick = lambda column: tuple(column[i] for i in rows)
+        columns = tuple(map(pick, table.columns))
+        table = Table(table.attributes, table.sensitive_attribute, pick(table.person_ids),
+                      columns, pick(table.sensitive), table.domain)
     bucketization = _bucketize(obj, table, group_by)
     _emit_points(obj, disclosure_vs_k(bucketization, k_max))
 
@@ -306,6 +321,8 @@ def curve_entropy(obj, domain_size, per_value, k_text):
     if not k_list:
         raise ValidationError("empty k list")
     family = SkewedSingleBucketFamily(domain_size, per_value)
+    # each member's persons and values, and its curve up to the largest k
+    _check_work(obj, (per_value + 1) * (domain_size * per_value + max(k_list) + 1))
     _emit_points(obj, entropy_vs_disclosure(family, k_list))
 
 

@@ -14,13 +14,11 @@ import io
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterable, Sequence, TextIO, Union
+from typing import Iterable, Sequence, Union
 
 from .engine import disclosure_by_k
 from .errors import ValidationError
-from .table import Bucketization, make_bucket, min_bucket_entropy
-
-Source = Union[str, Path, TextIO]
+from .table import Bucketization, Source, _open_text, make_bucket, min_bucket_entropy
 
 
 @dataclass(frozen=True)
@@ -130,20 +128,17 @@ def emit_csv(points: Iterable[CurvePoint], destination: Source) -> None:
 
 def read_csv(source: Source) -> list[CurvePoint]:
     """Parse emitted curve data back into exact points."""
-    if isinstance(source, (str, Path)):
-        text = Path(source).read_text(encoding="utf-8")
-    else:
-        text = source.read()
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader, None)
-    if header != ["series", "x", "num", "den", "decimal"]:
-        raise ValidationError("unrecognized curve CSV header")
-    points = []
-    for row in reader:
-        if not row:
-            continue
-        if len(row) != 5:
-            raise ValidationError(f"malformed curve CSV row: {row!r}")
-        series, x, num, den, _ = row
-        points.append(CurvePoint(series, _parse_x(x), Fraction(int(num), int(den))))
+    with _open_text(source) as stream:
+        reader = csv.reader(stream)
+        header = next(reader, None)
+        if header != ["series", "x", "num", "den", "decimal"]:
+            raise ValidationError("unrecognized curve CSV header")
+        points = []
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != 5:
+                raise ValidationError(f"malformed curve CSV row: {row!r}")
+            series, x, num, den, _ = row
+            points.append(CurvePoint(series, _parse_x(x), Fraction(int(num), int(den))))
     return points

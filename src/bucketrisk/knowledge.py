@@ -110,7 +110,7 @@ def knowledge_holds(assignment: Mapping[str, str], knowledge: Knowledge) -> bool
 
 def holds(table: Table, knowledge: Knowledge) -> bool:
     """True iff the table satisfies every implication of the knowledge."""
-    assignment = {r.person_id: r.sensitive for r in table.records}
+    assignment = dict(zip(table.person_ids, table.sensitive))
     return knowledge_holds(assignment, knowledge)
 
 
@@ -271,7 +271,7 @@ def validate_knowledge(knowledge: Knowledge, table: Table) -> None:
 
 
 def validate_atom(atom: Atom, table: Table) -> None:
-    if atom.person not in table.by_id:
+    if atom.person not in table.row_of:
         raise ValidationError(f"unknown person {atom.person!r}")
     if atom.value not in table.domain:
         raise ValidationError(f"unknown sensitive value {atom.value!r}")

@@ -10,13 +10,15 @@ search on chains and bottom-up minimal-node search correct.
 
 Safety depends only on each bucket's histogram, so the searches never
 materialize members. Each search groups the table once by raw
-quasi-identifier tuple (the record's values on the hierarchy's attributes)
+quasi-identifier tuple (a row's values on the hierarchy's attributes)
 into sensitive-value tallies, the bottom node. Every evaluated node
 relabels those group keys, labelling each distinct raw value once per
 attribute, and sums the tallies of keys that meet (the rollup of Incognito,
 LeFevre, DeWitt and Ramakrishnan, SIGMOD 2005): O(groups) per node instead
 of O(rows). ``is_safe`` takes the resulting count tuples. ``apply`` is what
-builds buckets with members, and it labels records with the same routine.
+builds buckets with members, and it labels rows with the same routine.
+``apply``, the bottom node and the rollup all group with the table module's
+one grouping routine.
 """
 
 from __future__ import annotations
@@ -25,14 +27,12 @@ import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from pathlib import Path
-from typing import Callable, Iterable, Sequence, TextIO, Union
+from typing import Callable, Iterable, Sequence, Union
 
 from .engine import Engine, _across_sweep, _saturation, _session
 from .errors import BudgetExceededError, ValidationError
-from .table import Bucketization, Table, _bucketize
+from .table import Bucketization, Source, Table, _bucketize, _group_rows, _open_text
 
-Source = Union[str, Path, TextIO]
 Node = tuple[int, ...]
 
 SUPPRESSED = "*"
@@ -150,10 +150,8 @@ def load_hierarchy(source: Source) -> Hierarchy:
     Each level is an object mapping raw values to labels, or one of the
     keywords "suppress" and "identity". Level 0 is implicit.
     """
-    if isinstance(source, (str, Path)):
-        text = Path(source).read_text(encoding="utf-8")
-    else:
-        text = source.read()
+    with _open_text(source) as stream:
+        text = stream.read()
     try:
         data = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:  # too deeply nested
@@ -187,12 +185,14 @@ def load_hierarchy(source: Source) -> Hierarchy:
     return Hierarchy(tuple(data), levels)
 
 
-def _check_attributes(table: Table, hierarchy: Hierarchy) -> None:
+def _qi_columns(table: Table, hierarchy: Hierarchy) -> list[tuple[str, ...]]:
+    """The table's columns for the hierarchy's attributes, in its order."""
     for attribute in hierarchy.attributes:
         if attribute not in table.attributes:
             raise ValidationError(
                 f"hierarchy attribute {attribute!r} not in table"
             )
+    return [table.columns[table.attributes.index(a)] for a in hierarchy.attributes]
 
 
 def _generalizer(
@@ -202,7 +202,7 @@ def _generalizer(
 
     Each distinct raw value is labelled once per attribute. Tuples are
     labelled attribute by attribute, so the first failing tuple raises the
-    same error as the first failing record would.
+    same error as the first failing row would.
     """
     columns = [(a, level, {}) for a, level in zip(hierarchy.attributes, node)]
 
@@ -221,29 +221,26 @@ def _generalizer(
 def apply(table: Table, hierarchy: Hierarchy, node: Sequence[int]) -> Bucketization:
     """Bucket the table by generalized quasi-identifier tuples."""
     node = hierarchy.check_node(node)
-    _check_attributes(table, hierarchy)
-    generalize, attributes = _generalizer(hierarchy, node), hierarchy.attributes
-    return _bucketize(table, lambda r: generalize([r.values[a] for a in attributes]))
+    raw = zip(*_qi_columns(table, hierarchy))
+    return _bucketize(table, map(_generalizer(hierarchy, node), raw))
 
 
 Tallies = dict[tuple[str, ...], list[int]]
 
 
 def _bottom_tallies(table: Table, hierarchy: Hierarchy) -> Tallies:
-    """Sensitive-value tallies per raw quasi-identifier tuple, in record order.
+    """Sensitive-value tallies per raw quasi-identifier tuple, in row order.
 
     Tally entry i counts ``table.domain[i]``.
     """
-    _check_attributes(table, hierarchy)
+    raw = zip(*_qi_columns(table, hierarchy))
     index = {value: i for i, value in enumerate(table.domain)}
-    attributes = hierarchy.attributes
+    values = table.sensitive
     tallies: Tallies = {}
-    for r in table.records:
-        key = tuple([r.values[a] for a in attributes])
-        tally = tallies.get(key)
-        if tally is None:
-            tally = tallies[key] = [0] * len(index)
-        tally[index[r.sensitive]] += 1
+    for key, rows in _group_rows(raw).items():
+        tally = tallies[key] = [0] * len(index)
+        for row in rows:
+            tally[index[values[row]]] += 1
     return tallies
 
 
@@ -255,14 +252,12 @@ def _rollup(
     Relabels the bottom node's keys and sums the tallies of keys that meet,
     in O(groups).
     """
-    generalize = _generalizer(hierarchy, node)
-    merged: dict[tuple[str, ...], list[list[int]]] = {}
-    for raw, tally in bottom.items():
-        merged.setdefault(generalize(raw), []).append(tally)
-    return [
-        tuple(sorted(filter(None, map(sum, zip(*tallies))), reverse=True))
-        for tallies in merged.values()
-    ]
+    tallies = list(bottom.values())
+    histograms = []
+    for group in _group_rows(map(_generalizer(hierarchy, node), bottom)).values():
+        counts = map(sum, zip(*(tallies[i] for i in group)))
+        histograms.append(tuple(sorted(filter(None, counts), reverse=True)))
+    return histograms
 
 
 def leq(finer: Bucketization, coarser: Bucketization) -> bool:

@@ -1,85 +1,86 @@
 """Tables, bucketizations, and per-bucket statistics.
 
-A table holds person-indexed records with opaque categorical non-sensitive
-attributes and one sensitive value from a finite domain. A bucketization
-partitions the persons into buckets; publishing one is modeled as revealing,
-per bucket, the member list and the multiset of sensitive values (the
-assignment within the bucket stays hidden). Everything downstream (the exact
-oracle, the polynomial engine, the generalization search) consumes the types
-defined here.
+A table is stored by column: a tuple of person ids, one row-aligned tuple
+per opaque categorical non-sensitive attribute, and a tuple of sensitive
+values from a finite domain. There is no per-person record type: rows are
+grouped by zipping columns, and ``Table.records`` derives row tuples for
+callers that want rows. A bucketization partitions the persons into
+buckets; publishing one is modeled as revealing, per bucket, the member
+list and the multiset of sensitive values (the assignment within the bucket
+stays hidden). Everything downstream (the exact oracle, the polynomial
+engine, the generalization search) consumes the types defined here.
 
 All types are immutable after construction and safe to share across threads.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence, TextIO, Union
+from typing import ContextManager, Hashable, Iterable, Mapping, Sequence, TextIO, Union
 
 from .errors import ValidationError
 
 Source = Union[str, Path, TextIO]
 
 
-def _open_text(source: Source) -> TextIO:
-    """Return a readable text stream for a path or pass a stream through."""
+def _open_text(source: Source) -> ContextManager[TextIO]:
+    """Open a path for reading; a caller's stream passes through, left open."""
     if isinstance(source, (str, Path)):
         return open(source, "r", encoding="utf-8", newline="")
-    return source
-
-
-@dataclass(frozen=True)
-class Record:
-    """One person: an id, the non-sensitive attribute values, the sensitive value."""
-
-    person_id: str
-    values: Mapping[str, str]
-    sensitive: str
+    return contextlib.nullcontext(source)
 
 
 @dataclass(frozen=True)
 class Table:
-    """A validated table with one designated sensitive attribute.
+    """A validated table with one designated sensitive attribute, by column.
 
-    ``domain`` is the sensitive domain: every observed value plus any declared
-    extras, sorted lexicographically. The sort order is the package's canonical
-    value order (used for negation encoding and witness tie-breaking).
+    Row i is person ``person_ids[i]``, with value ``columns[j][i]`` of
+    ``attributes[j]`` and sensitive value ``sensitive[i]``; ``records`` gives
+    the rows as tuples in that order, person id first. ``domain`` is the
+    sensitive domain: every observed value plus any declared extras, sorted
+    lexicographically. The sort order is the package's canonical value order
+    (used for negation encoding and witness tie-breaking).
     """
 
     attributes: tuple[str, ...]
     sensitive_attribute: str
-    records: tuple[Record, ...]
+    person_ids: tuple[str, ...]
+    columns: tuple[tuple[str, ...], ...]
+    sensitive: tuple[str, ...]
     domain: tuple[str, ...]
 
     @cached_property
-    def by_id(self) -> dict[str, Record]:
-        return {r.person_id: r for r in self.records}
+    def row_of(self) -> dict[str, int]:
+        """Each person's row index."""
+        return {p: i for i, p in enumerate(self.person_ids)}
 
     @property
-    def person_ids(self) -> tuple[str, ...]:
-        return tuple(r.person_id for r in self.records)
+    def records(self) -> tuple[tuple[str, ...], ...]:
+        """The rows as ``(person_id, *attribute values, sensitive)`` tuples."""
+        return tuple(zip(self.person_ids, *self.columns, self.sensitive))
 
     def __post_init__(self) -> None:
+        n = len(self.person_ids)
+        if len(self.columns) != len(self.attributes) or any(
+            len(column) != n for column in (*self.columns, self.sensitive)
+        ):
+            raise ValidationError("columns are not aligned with the person ids")
         seen: set[str] = set()
-        for r in self.records:
-            if not r.person_id:
+        for person_id in self.person_ids:
+            if not person_id:
                 raise ValidationError("empty person id")
-            if r.person_id in seen:
-                raise ValidationError(f"duplicate person id {r.person_id!r}")
-            seen.add(r.person_id)
-            missing = [a for a in self.attributes if a not in r.values]
-            if missing:
-                raise ValidationError(
-                    f"record {r.person_id!r} missing attribute(s) {missing}"
-                )
+            if person_id in seen:
+                raise ValidationError(f"duplicate person id {person_id!r}")
+            seen.add(person_id)
         if not self.domain:
             raise ValidationError("sensitive domain is empty")
-        observed = {r.sensitive for r in self.records}
+        observed = set(self.sensitive)
         if not observed <= set(self.domain):
             raise ValidationError(
                 f"observed sensitive value(s) outside domain: "
@@ -209,8 +210,7 @@ def load_table(
     ``extra_domain`` declares sensitive values beyond the observed ones, so a
     sample can carry the full domain.
     """
-    stream = _open_text(source)
-    try:
+    with _open_text(source) as stream:
         reader = csv.reader(stream)
         try:
             header = next(reader)
@@ -220,45 +220,39 @@ def load_table(
             raise ValidationError(f"missing sensitive column {sensitive!r}")
         if id_column is not None and id_column not in header:
             raise ValidationError(f"missing id column {id_column!r}")
-        attributes = tuple(
-            h for h in header if h != sensitive and h != id_column
-        )
-        records = []
+        rows = []
         for i, row in enumerate(reader):
             if len(row) != len(header):
                 raise ValidationError(
                     f"row {i}: expected {len(header)} fields, got {len(row)}"
                 )
-            cells = dict(zip(header, row))
-            pid = cells[id_column] if id_column is not None else str(i)
-            records.append(
-                Record(
-                    person_id=pid,
-                    values={a: cells[a] for a in attributes},
-                    sensitive=cells[sensitive],
-                )
-            )
-        if not records:
+            rows.append(row)
+        if not rows:
             raise ValidationError("empty input: no data rows")
-    finally:
-        if isinstance(source, (str, Path)):
-            stream.close()
-    domain = sorted({r.sensitive for r in records} | set(extra_domain))
+    # a repeated header name reads its last column
+    by_name = dict(zip(header, zip(*rows)))
+    attributes = tuple(h for h in header if h != sensitive and h != id_column)
+    values = by_name[sensitive]
+    if id_column is None:
+        person_ids = tuple(map(str, range(len(rows))))
+    else:
+        person_ids = by_name[id_column]
     return Table(
         attributes=attributes,
         sensitive_attribute=sensitive,
-        records=tuple(records),
-        domain=tuple(domain),
+        person_ids=person_ids,
+        columns=tuple(by_name[a] for a in attributes),
+        sensitive=values,
+        domain=tuple(sorted(set(values) | set(extra_domain))),
     )
 
 
 def read_assignment(source: Source) -> dict[str, str]:
     """Read an explicit person-to-bucket assignment file (person<TAB>bucket)."""
-    stream = _open_text(source)
-    try:
+    with _open_text(source) as stream:
         assignment: dict[str, str] = {}
         for i, line in enumerate(stream):
-            line = line.rstrip("\n")
+            line = line.rstrip("\r\n")
             if not line or line.startswith("#"):
                 continue
             parts = line.split("\t")
@@ -269,19 +263,12 @@ def read_assignment(source: Source) -> dict[str, str]:
                 raise ValidationError(f"assignment repeats person {person!r}")
             assignment[person] = bucket
         return assignment
-    finally:
-        if isinstance(source, (str, Path)):
-            stream.close()
 
 
 def read_domain(source: Source) -> tuple[str, ...]:
     """Read a domain file: one sensitive value per line, blanks ignored."""
-    stream = _open_text(source)
-    try:
+    with _open_text(source) as stream:
         return tuple(v.strip() for v in stream if v.strip())
-    finally:
-        if isinstance(source, (str, Path)):
-            stream.close()
 
 
 def partition(
@@ -294,7 +281,7 @@ def partition(
     Exactly one grouping mode applies: an explicit person-to-bucket
     ``assignment``, or ``by``, a list of non-sensitive attributes to group on
     (an empty list groups everything into a single bucket, named "all").
-    Bucket order and member order follow record order; with ``assignment``,
+    Bucket order and member order follow row order; with ``assignment``,
     buckets appear in order of first member and keep their labels as ids.
     Group-by ids join the attribute values with "|"; when two distinct value
     tuples join to the same text, the later bucket's id gets "+" appended.
@@ -302,41 +289,48 @@ def partition(
     if (assignment is None) == (by is None):
         raise ValidationError("specify exactly one of assignment= or by=")
     if assignment is not None:
-        missing = [r.person_id for r in table.records if r.person_id not in assignment]
+        missing = [p for p in table.person_ids if p not in assignment]
         if missing:
             raise ValidationError(f"assignment missing person(s) {missing}")
         extra = set(assignment) - set(table.person_ids)
         if extra:
             raise ValidationError(f"assignment names unknown person(s) {sorted(extra)}")
-        return _bucketize(table, lambda r: (assignment[r.person_id],))
+        return _bucketize(table, [(assignment[p],) for p in table.person_ids])
     unknown = [a for a in by if a not in table.attributes]
     if unknown:
         raise ValidationError(f"cannot group by unknown attribute(s) {unknown}")
-    return _bucketize(table, lambda r: tuple([r.values[a] for a in by]) or ("all",))
+    columns = [table.columns[table.attributes.index(a)] for a in by]
+    return _bucketize(table, zip(*columns) if by else [("all",)] * len(table.person_ids))
 
 
-def _bucketize(
-    table: Table, key: Callable[[Record], tuple[str, ...]]
-) -> Bucketization:
-    """Group the table's records by a tuple key, one bucket per distinct key.
+def _group_rows(keys: Iterable[Hashable]) -> dict[Hashable, list[int]]:
+    """The row indices of each distinct key, given one key per row.
 
-    Buckets and their members follow record order. A bucket is named by
+    Keys appear in order of their first row, and each key's rows ascend.
+    """
+    groups: dict[Hashable, list[int]] = {}
+    for row, key in enumerate(keys):
+        groups.setdefault(key, []).append(row)
+    return groups
+
+
+def _bucketize(table: Table, keys: Iterable[tuple[str, ...]]) -> Bucketization:
+    """Bucket the table's rows by a tuple key per row, one bucket per key.
+
+    Buckets and their members follow row order. A bucket is named by
     joining its key with "|", and a name already taken by another key gets
     "+" appended until it is unique, so distinct keys never share a bucket.
     """
-    groups: dict[tuple[str, ...], list[Record]] = {}
-    for r in table.records:
-        groups.setdefault(key(r), []).append(r)
+    person_ids, values = table.person_ids, table.sensitive
     used: set[str] = set()
     buckets = []
-    for values, rs in groups.items():
-        bucket_id = "|".join(values)
+    for key, rows in _group_rows(keys).items():
+        bucket_id = "|".join(key)
         while bucket_id in used:
             bucket_id += "+"
         used.add(bucket_id)
-        buckets.append(
-            make_bucket(bucket_id, [r.person_id for r in rs], [r.sensitive for r in rs])
-        )
+        members = [person_ids[i] for i in rows]
+        buckets.append(make_bucket(bucket_id, members, [values[i] for i in rows]))
     return Bucketization(buckets=tuple(buckets), domain=table.domain)
 
 
@@ -355,8 +349,5 @@ def dump_table(table: Table) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["id", *table.attributes, table.sensitive_attribute])
-    for r in table.records:
-        writer.writerow(
-            [r.person_id, *(r.values[a] for a in table.attributes), r.sensitive]
-        )
+    writer.writerows(table.records)
     return out.getvalue()

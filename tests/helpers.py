@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 
-from bucketrisk import Bucketization, Hierarchy, Record, Table, make_bucket
+from bucketrisk import Bucketization, Hierarchy, Table, make_bucket
 
 VALUES = ("a", "b", "c", "d")
 
@@ -62,13 +62,13 @@ def random_table_and_hierarchy(
     attributes = tuple(f"A{i}" for i in range(num_attributes))
     raw_sizes = [rng.randint(2, 3) for _ in attributes]
     domain = VALUES[: rng.randint(2, 3)]
-    records = []
-    for i in range(rng.randint(3, max_tuples)):
-        values = {
-            a: f"r{rng.randrange(raw_sizes[j])}" for j, a in enumerate(attributes)
-        }
-        records.append(Record(f"p{i:03d}", values, rng.choice(domain)))
-    table = Table(attributes, "S", tuple(records), domain)
+    rows = []
+    for _ in range(rng.randint(3, max_tuples)):
+        raw = [f"r{rng.randrange(size)}" for size in raw_sizes]
+        rows.append((*raw, rng.choice(domain)))
+    *columns, sensitive = zip(*rows)
+    person_ids = tuple(f"p{i:03d}" for i in range(len(rows)))
+    table = Table(attributes, "S", person_ids, tuple(columns), sensitive, domain)
 
     levels = {}
     for j, attribute in enumerate(attributes):

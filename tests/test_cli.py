@@ -56,12 +56,22 @@ def test_disclose_whole_table_is_one_bucket(runner):
     assert r.stdout.startswith("disclosure: 6/11 ")
 
 
-def test_disclose_partition_file(runner):
+def test_disclose_partition_file(runner, tmp_path):
     r = invoke(
         runner,
         "disclose", "--k", "1",
         pre=["--partition", str(DATA / "clinic-partition.tsv")],
     )
+    assert r.exit_code == 0
+    assert r.stdout.startswith("disclosure: 2/3 ")
+
+    # Bob's and Dave's lines end in CRLF; "\r" must not split their bucket
+    crlf = tmp_path / "crlf.tsv"
+    text = (DATA / "clinic-partition.tsv").read_text(encoding="utf-8")
+    for person in ("Bob", "Dave"):
+        text = text.replace(f"{person}\tM\n", f"{person}\tM\r\n")
+    crlf.write_bytes(text.encode())
+    r = invoke(runner, "disclose", "--k", "1", pre=["--partition", str(crlf)])
     assert r.exit_code == 0
     assert r.stdout.startswith("disclosure: 2/3 ")
 
@@ -282,6 +292,22 @@ def test_curve_k_sampled(runner):
     r = invoke(runner, "curve-k", "--k-max", "1", "--sample", "1.5")
     assert r.exit_code == 2
 
+    # seed 7 keeps Gloria, Dave, Hannah, Karen and Bob, in that order
+    r = invoke(
+        runner,
+        "curve-k", "--k-max", "2", "--group-by", "Sex", "--sample", "0.5", "--seed", "7",
+    )
+    assert r.exit_code == 0
+    assert r.stdout == (
+        "series,x,num,den,decimal\n"
+        "implications,0,2,3,0.6666666666666666\n"
+        "implications,1,1,1,1.0\n"
+        "implications,2,1,1,1.0\n"
+        "negations,0,2,3,0.6666666666666666\n"
+        "negations,1,1,1,1.0\n"
+        "negations,2,1,1,1.0\n"
+    )
+
 
 def test_curve_k_large_k_max_stops_at_saturation(runner, demo_bucketization):
     # the Sex buckets have 3 and 4 distinct values, so both series are 1 from
@@ -317,3 +343,21 @@ def test_curve_entropy(runner):
         main, ["curve-entropy", "--domain-size", "3", "--per-value", "3", "--k", "x"]
     )
     assert r.exit_code == 2
+
+
+HUGE = {
+    "disclose": [*TABLE_ARGS, "disclose", "--k", "100000000", "--group-by", "Sex"],
+    "curve-k": [*TABLE_ARGS, "curve-k", "--k-max", "100000000", "--group-by", "Sex"],
+    "curve-entropy": ["curve-entropy", "--domain-size", "100000", "--per-value", "100000",
+                      "--k", "5"],
+}
+
+
+@pytest.mark.parametrize("case", list(HUGE))
+def test_huge_work_exceeds_budget(runner, case):
+    # refused before allocating: each of these runs out of memory otherwise
+    r = runner.invoke(main, HUGE[case])
+    assert r.exit_code == 3
+    assert r.stderr.startswith("error: ")
+    assert "Traceback" not in r.output
+    assert r.exception is None or isinstance(r.exception, SystemExit)

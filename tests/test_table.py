@@ -1,8 +1,10 @@
 import io
 import math
+import random
+from collections import Counter
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from bucketrisk import (
     Bucketization,
@@ -16,6 +18,7 @@ from bucketrisk import (
     read_domain,
 )
 from conftest import DATA
+from helpers import random_table_and_hierarchy
 
 
 def test_demo_table_shape(demo_table):
@@ -31,8 +34,9 @@ def test_demo_table_shape(demo_table):
         "Mumps",
         "Ovarian Cancer",
     )
-    assert demo_table.by_id["Ed"].sensitive == "Lung Cancer"
-    assert demo_table.by_id["Ed"].values == {"Zip": "14850", "Age": "27", "Sex": "M"}
+    ed = demo_table.row_of["Ed"]
+    assert demo_table.sensitive[ed] == "Lung Cancer"
+    assert demo_table.records[ed] == ("Ed", "14850", "27", "M", "Lung Cancer")
 
 
 def test_demo_partition_by_sex(demo_bucketization):
@@ -127,8 +131,42 @@ def test_read_assignment_rejects_duplicates():
         read_assignment(io.StringIO("p\tb1\np\tb2\n"))
 
 
+def test_read_assignment_mixed_line_endings(demo_table, tmp_path):
+    lf = DATA / "clinic-partition.tsv"
+    lines = lf.read_text(encoding="utf-8").splitlines(keepends=True)
+    mixed = tmp_path / "mixed.tsv"
+    crlf = [line.replace("\n", "\r\n") if i % 2 else line for i, line in enumerate(lines)]
+    mixed.write_bytes("".join(crlf).encode())
+    assert partition(demo_table, assignment=read_assignment(mixed)) == partition(
+        demo_table, assignment=read_assignment(lf)
+    )
+
+
 def test_read_domain():
-    assert read_domain(io.StringIO("x\n\ny\n")) == ("x", "y")
+    stream = io.StringIO("x\n\ny\n")
+    assert read_domain(stream) == ("x", "y")
+    assert not stream.closed  # a caller's stream stays open
+
+
+@given(seed=st.integers(min_value=0, max_value=10_000))
+@settings(max_examples=60, deadline=None)
+def test_partition_follows_row_order(seed):
+    rng = random.Random(seed)
+    table, _ = random_table_and_hierarchy(rng)
+    by = rng.sample(table.attributes, rng.randint(0, len(table.attributes)))
+    groups: dict[tuple[str, ...], list[tuple[str, str]]] = {}
+    for person, *values, sensitive in table.records:
+        key = tuple(values[table.attributes.index(a)] for a in by) or ("all",)
+        groups.setdefault(key, []).append((person, sensitive))
+    expected = []
+    for key, rows in groups.items():
+        tally = Counter(value for _, value in rows).items()
+        histogram = tuple(sorted(tally, key=lambda vc: (-vc[1], vc[0])))
+        expected.append(("|".join(key), tuple(person for person, _ in rows), histogram))
+    labels = {person: "|".join(key) for key, rows in groups.items() for person, _ in rows}
+    for bucketization in (partition(table, by=by), partition(table, assignment=labels)):
+        got = [(b.bucket_id, b.members, b.histogram) for b in bucketization.buckets]
+        assert got == expected
 
 
 def test_dump_table_roundtrip(demo_table):
@@ -136,8 +174,7 @@ def test_dump_table_roundtrip(demo_table):
     again = load_table(io.StringIO(text), "Disease", id_column="id")
     assert again.person_ids == demo_table.person_ids
     assert again.domain == demo_table.domain
-    for r1, r2 in zip(demo_table.records, again.records):
-        assert r1.values == r2.values and r1.sensitive == r2.sensitive
+    assert again.records == demo_table.records
     assert dump_table(again) == text
 
 
