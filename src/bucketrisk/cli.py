@@ -118,10 +118,10 @@ def _bucketize(obj, table: Table, group_by: str | None):
     return partition(table, by=())
 
 
-def _check_work(obj, work: int) -> None:
-    """Refuse, before allocating, a command whose work exceeds --budget."""
+def _check_work(obj, work: int, what: str) -> None:
+    """Refuse, before allocating, a command whose ``what`` exceeds --budget."""
     if work > obj["budget"]:
-        raise BudgetExceededError(work, obj["budget"])
+        raise BudgetExceededError(work, obj["budget"], what)
 
 
 def _emit_text(obj, lines) -> None:
@@ -163,7 +163,7 @@ def disclose(obj, k, knowledge_class, witness, group_by):
         side = max(k, 0) + 1
         sizes = {b.counts: b.size for b in bucketization.buckets}
         states = sum(min(n, side) for n in sizes.values())
-        _check_work(obj, (len(bucketization.buckets) + states) * side * side)
+        _check_work(obj, (len(bucketization.buckets) + states) * side * side, "DP cell count")
         report = max_disclosure(bucketization, k)
         lines.append(f"disclosure: {_fmt(report.disclosure)}")
         if witness:
@@ -292,7 +292,7 @@ def anonymize(obj, hierarchy_path, c_text, k, all_minimal, chain_spec):
 def curve_k(obj, k_max, group_by, sample, seed):
     """Emit disclosure-vs-k series for implications and negations."""
     table = _load_table(obj)
-    _check_work(obj, 2 * (k_max + 1))  # output rows
+    _check_work(obj, 2 * (k_max + 1), "output row count")
     if sample is not None:
         if not 0 < sample <= 1:
             raise ValidationError("--sample must be in (0, 1]")
@@ -322,7 +322,8 @@ def curve_entropy(obj, domain_size, per_value, k_text):
         raise ValidationError("empty k list")
     family = SkewedSingleBucketFamily(domain_size, per_value)
     # each member's persons and values, and its curve up to the largest k
-    _check_work(obj, (per_value + 1) * (domain_size * per_value + max(k_list) + 1))
+    work = (per_value + 1) * (domain_size * per_value + max(k_list) + 1)
+    _check_work(obj, work, "person and curve entry count")
     _emit_points(obj, entropy_vs_disclosure(family, k_list))
 
 

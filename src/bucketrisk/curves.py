@@ -18,7 +18,7 @@ from typing import Iterable, Sequence, Union
 
 from .engine import disclosure_by_k
 from .errors import ValidationError
-from .table import Bucketization, Source, _open_text, make_bucket, min_bucket_entropy
+from .table import Bucketization, Source, _csv_reader, make_bucket, min_bucket_entropy
 
 
 @dataclass(frozen=True)
@@ -128,8 +128,7 @@ def emit_csv(points: Iterable[CurvePoint], destination: Source) -> None:
 
 def read_csv(source: Source) -> list[CurvePoint]:
     """Parse emitted curve data back into exact points."""
-    with _open_text(source) as stream:
-        reader = csv.reader(stream)
+    with _csv_reader(source) as reader:
         header = next(reader, None)
         if header != ["series", "x", "num", "den", "decimal"]:
             raise ValidationError("unrecognized curve CSV header")

@@ -25,6 +25,13 @@ also stops at saturation. With d_min the fewest distinct values in any
 bucket, both knowledge classes disclose exactly 1 from k = d_min - 1 on, so
 the curve sweeps only up to min(k_max, d_min - 1) and fills the rest with 1.
 
+The sweep runs from the last bucket to the first and fills a bucket's
+within-bucket minima only as far as its scans read them. The row below a
+bucket is non-increasing in h, so from its first zero z on, every scan
+stops at its first candidate, a 0 no later one can beat, and the bucket
+needs minima for at most max(z, 1) atoms rather than k + 1. Values,
+witnesses and counters stay those of a sweep that fills them all.
+
 All probabilities are exact rationals. Internally the DP works on
 unnormalized (numerator, denominator) integer pairs compared by
 cross-multiplication; ``None`` marks an infeasible state. Fractions appear
@@ -93,7 +100,9 @@ class _BucketTable:
     person i may take 1..cap atoms (caps enforce the non-increasing partition
     shape) or the walk may stop. Stopping early never undercuts the exact-k
     minimum (growing the largest part only shrinks the value), so the result
-    equals the minimum over partitions of exactly k atoms.
+    equals the minimum over partitions of exactly k atoms, and minimize(0, h,
+    h) is non-increasing in h. A cap above the atoms left allows nothing
+    more than a cap equal to them, so states are keyed by min(cap, rem).
     """
 
     __slots__ = ("counts", "n", "_prefix", "memo", "choice", "evaluations")
@@ -117,6 +126,7 @@ class _BucketTable:
     def minimize(self, i: int, cap: int, rem: int) -> tuple[int, int]:
         if rem == 0 or i >= self.n:
             return (1, 1)
+        cap = min(cap, rem)  # a cap above rem allows nothing more
         key = (i, cap, rem)
         hit = self.memo.get(key)
         if hit is not None:
@@ -127,7 +137,7 @@ class _BucketTable:
         best_n, best_d = 1, 1
         best_choice = 0
         # descending so ties prefer concentrated shapes (fewer persons)
-        for ki in range(min(cap, rem), 0, -1):
+        for ki in range(cap, 0, -1):
             numerator = n - i - self.top_sum(ki)
             if numerator <= 0:
                 cand_n, cand_d = 0, 1
@@ -149,7 +159,7 @@ class _BucketTable:
         parts = []
         i, cap, rem = 0, k, k
         while rem > 0 and i < self.n:
-            ki = self.choice.get((i, cap, rem), 0)
+            ki = self.choice.get((i, min(cap, rem), rem), 0)
             if ki == 0:
                 break  # stopped early: value already 0 with fewer atoms
             parts.append(ki)
@@ -270,15 +280,17 @@ def _across_sweep(
     back-pointer tables for that row. Entry h reads only entries h' <= h and
     within-bucket minima for up to h+1 atoms, so a sweep at k holds the
     exact answer for every h <= k.
+
+    A bucket's within-bucket minima are filled only as far as its scans
+    read them. The t-row below it (buckets i+1.., target placed) is
+    non-increasing in h past the base row, because each within-bucket
+    minimum is. So from its first zero entry z on, every entry is zero, and
+    every scan of row i at h >= z takes the zero at hp = 0 and stops: no
+    later candidate is strictly below 0. Row i then reads minima for at most
+    max(z, 1) atoms (z = k + 1 when no entry is zero), with the same values,
+    back-pointers and counts as a sweep that filled all k + 2.
     """
     m = len(histograms)
-    wb: list[list[tuple[int, int]]] = []
-    shape: list[tuple[int, int]] = []
-    for counts in histograms:
-        table = engine.table(counts)
-        wb.append([table.minimize(0, h, h) for h in range(k + 2)])
-        shape.append((table.n, counts[0]))
-
     # base rows: past the last bucket, feasible iff nothing left to place and
     # the target was placed somewhere
     t_next: list[tuple[int, int] | None] = [(1, 1)] + [None] * k
@@ -287,8 +299,11 @@ def _across_sweep(
     choice_f: list[list[int]] = [[]] * m
 
     for i in range(m - 1, -1, -1):
-        wbi = wb[i]
-        nb, top = shape[i]
+        counts = histograms[i]
+        table = engine.table(counts)
+        nb, top = table.n, counts[0]
+        z = next((h for h, e in enumerate(t_next) if e is not None and e[0] == 0), k + 1)
+        wbi = [table.minimize(0, h, h) for h in range(max(z, 1) + 1)]
         t_row: list[tuple[int, int] | None] = [None] * (k + 1)
         f_row: list[tuple[int, int] | None] = [None] * (k + 1)
         ct = [0] * (k + 1)
@@ -328,6 +343,8 @@ def _across_sweep(
                     cd = wd * top * sub[1]
                     if bn is None or cn * bd < bn * cd:
                         bn, bd, bcf = cn, cd, hp * 2 + 1
+                        if cn == 0:
+                            break
                 sub = f_next[h - hp]
                 if sub is not None:
                     wn, wd = wbi[hp]
@@ -340,6 +357,8 @@ def _across_sweep(
                         cd = wd * sub[1]
                     if bn is None or cn * bd < bn * cd:
                         bn, bd, bcf = cn, cd, hp * 2
+                        if cn == 0:
+                            break
             if bn is not None:
                 f_row[h] = (bn, bd)
                 cf[h] = bcf

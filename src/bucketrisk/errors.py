@@ -34,13 +34,13 @@ class InconsistentKnowledgeError(BucketRiskError):
 
 
 class BudgetExceededError(BucketRiskError):
-    """An enumeration would exceed the configured budget.
+    """An enumeration, or other work, would exceed the configured budget.
 
     ``count`` is the size that tripped the check, so callers can shrink the
-    instance or raise the budget.
+    instance or raise the budget; ``what`` names what it counts.
     """
 
-    def __init__(self, count: int, budget: int):
-        super().__init__(f"enumeration size {count} exceeds budget {budget}")
+    def __init__(self, count: int, budget: int, what: str = "enumeration size"):
+        super().__init__(f"{what} {count} exceeds budget {budget}")
         self.count = count
         self.budget = budget

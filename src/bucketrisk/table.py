@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import ContextManager, Hashable, Iterable, Mapping, Sequence, TextIO, Union
+from typing import ContextManager, Hashable, Iterable, Iterator, Mapping, Sequence, TextIO, Union
 
 from .errors import ValidationError
 
@@ -34,6 +34,18 @@ def _open_text(source: Source) -> ContextManager[TextIO]:
     if isinstance(source, (str, Path)):
         return open(source, "r", encoding="utf-8", newline="")
     return contextlib.nullcontext(source)
+
+
+@contextlib.contextmanager
+def _csv_reader(source: Source) -> Iterator[Iterator[list[str]]]:
+    """A ``csv.reader`` over the source whose ``csv.Error`` (a malformed row,
+    such as a field over the csv module's size limit) is a ValidationError."""
+    with _open_text(source) as stream:
+        reader = csv.reader(stream)
+        try:
+            yield reader
+        except csv.Error as exc:
+            raise ValidationError(f"malformed CSV at line {reader.line_num}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -210,8 +222,7 @@ def load_table(
     ``extra_domain`` declares sensitive values beyond the observed ones, so a
     sample can carry the full domain.
     """
-    with _open_text(source) as stream:
-        reader = csv.reader(stream)
+    with _csv_reader(source) as reader:
         try:
             header = next(reader)
         except StopIteration:

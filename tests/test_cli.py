@@ -95,6 +95,13 @@ def _not_utf8_table(tmp_path):
     return ["--table", str(path), "--sensitive", "Disease", "disclose", "--k", "1"]
 
 
+def _overlong_field_table(tmp_path):
+    # one field past the csv module's default limit of 131072 characters
+    path = tmp_path / "long.csv"
+    path.write_text(f"Name,Sex,Disease\nAl,M,{'x' * 200_000}\n", encoding="utf-8")
+    return ["--table", str(path), "--sensitive", "Disease", "disclose", "--k", "1"]
+
+
 def _bad_hierarchy(text):
     def args(d):
         (d / "h.json").write_text(text)
@@ -115,6 +122,7 @@ UNREADABLE = {
     "out-in-missing-directory": lambda d: [*TABLE_ARGS, "--out", str(d / "missing" / "x"),
                                            "disclose", "--k", "1"],
     "table-not-utf8": _not_utf8_table,
+    "table-field-over-csv-limit": _overlong_field_table,
     "hierarchy-deeply-nested": _bad_hierarchy("[" * 200_000),
     "hierarchy-splits-above-suppress": _bad_hierarchy(
         '{"Zip": ["suppress", {"14850": "x", "14853": "y"}]}'
@@ -199,6 +207,7 @@ def test_oracle_budget_exit_code(runner):
     )
     assert r.exit_code == 3
     assert "exceeds budget" in r.stderr
+    assert r.stderr == "error: enumeration size 12 exceeds budget 10\n"  # the oracle's wording
 
 
 def test_oracle_with_extra_domain(runner, tmp_path):
@@ -361,3 +370,17 @@ def test_huge_work_exceeds_budget(runner, case):
     assert r.stderr.startswith("error: ")
     assert "Traceback" not in r.output
     assert r.exception is None or isinstance(r.exception, SystemExit)
+
+
+REFUSALS = {
+    "disclose": "DP cell count 120000002400000012",
+    "curve-k": "output row count 200000002",
+    "curve-entropy": "person and curve entry count 1000010000600006",
+}
+
+
+@pytest.mark.parametrize("case", list(REFUSALS))
+def test_work_refusal_names_what_it_counted(runner, case):
+    r = runner.invoke(main, HUGE[case])
+    assert r.exit_code == 3
+    assert r.stderr == f"error: {REFUSALS[case]} exceeds budget 10000000\n"

@@ -197,3 +197,6 @@ def test_read_csv_rejects_bad_input():
         read_csv(io.StringIO("wrong,header\n"))
     with pytest.raises(ValidationError):
         read_csv(io.StringIO("series,x,num,den,decimal\na,1,2\n"))
+    # a field past the csv module's size limit
+    with pytest.raises(ValidationError, match="malformed CSV at line 2"):
+        read_csv(io.StringIO(f"series,x,num,den,decimal\n{'a' * 200_000},1,2,3,0.6\n"))

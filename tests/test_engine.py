@@ -2,6 +2,7 @@ import contextvars
 import random
 from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -338,3 +339,125 @@ def test_lattice_search_builds_each_histogram_once(monkeypatch, demo_table):
     found = all_minimal_safe(demo_table, hierarchy, SafetyThreshold(Fraction(7, 10), 1))
     assert found == [(1, 1, 0)]
     assert built and max(built.values()) == 1
+
+
+def _eager_sweep(histograms, k, engine):
+    """The across-bucket sweep that fills k + 2 within-bucket minima per
+    bucket up front: the reference for the bounded fill of ``_across_sweep``."""
+    m = len(histograms)
+    wb, shape = [], []
+    for counts in histograms:
+        table = engine.table(counts)
+        wb.append([table.minimize(0, h, h) for h in range(k + 2)])
+        shape.append((table.n, counts[0]))
+    t_next = [(1, 1)] + [None] * k
+    f_next = [None] * (k + 1)
+    choice_t, choice_f = [[]] * m, [[]] * m
+    for i in range(m - 1, -1, -1):
+        wbi = wb[i]
+        nb, top = shape[i]
+        t_row, f_row = [None] * (k + 1), [None] * (k + 1)
+        ct, cf = [0] * (k + 1), [0] * (k + 1)
+        for h in range(k + 1):
+            bn = bd = None
+            bch = 0
+            for hp in range(h + 1):
+                sub = t_next[h - hp]
+                if sub is None:
+                    continue
+                wn, wd = wbi[hp]
+                if wn == 0:
+                    cn, cd = 0, 1
+                elif hp == 0:
+                    cn, cd = sub
+                else:
+                    cn, cd = wn * sub[0], wd * sub[1]
+                if bn is None or cn * bd < bn * cd:
+                    bn, bd, bch = cn, cd, hp
+                    if cn == 0:
+                        break
+            if bn is not None:
+                t_row[h], ct[h] = (bn, bd), bch
+            bn = bd = None
+            bcf = 0
+            for hp in range(h + 1):
+                sub = t_next[h - hp]
+                if sub is not None:
+                    wn, wd = wbi[hp + 1]
+                    cn, cd = wn * nb * sub[0], wd * top * sub[1]
+                    if bn is None or cn * bd < bn * cd:
+                        bn, bd, bcf = cn, cd, hp * 2 + 1
+                sub = f_next[h - hp]
+                if sub is not None:
+                    wn, wd = wbi[hp]
+                    if wn == 0:
+                        cn, cd = 0, 1
+                    elif hp == 0:
+                        cn, cd = sub
+                    else:
+                        cn, cd = wn * sub[0], wd * sub[1]
+                    if bn is None or cn * bd < bn * cd:
+                        bn, bd, bcf = cn, cd, hp * 2
+            if bn is not None:
+                f_row[h], cf[h] = (bn, bd), bcf
+        t_next, f_next = t_row, f_row
+        choice_t[i], choice_f[i] = ct, cf
+    engine.across_entries += 2 * m * (k + 1)
+    return f_next, choice_t, choice_f
+
+
+def _keys_capped_by_rem(session):
+    return all(
+        cap <= rem
+        for table in session.tables.values()
+        for keys in (table.memo, table.choice)
+        for _, cap, rem in keys
+    )
+
+
+# 1-4 distinct values per bucket, so the row below a bucket reaches 0 at varied h
+_histograms = st.lists(
+    st.lists(st.integers(1, 4), min_size=1, max_size=4).map(
+        lambda counts: tuple(sorted(counts, reverse=True))
+    ),
+    min_size=1,
+    max_size=5,
+)
+
+
+@given(histograms=_histograms, k=st.integers(0, 15))
+@settings(max_examples=150, deadline=None)
+def test_bounded_fill_matches_eager_sweep(histograms, k):
+    lazy, eager = Engine(), Engine()
+    got = engine_module._across_sweep(histograms, k, lazy)
+    assert got == _eager_sweep(histograms, k, eager)
+    assert lazy.across_entries == eager.across_entries
+    assert _keys_capped_by_rem(lazy)
+
+    b = bucketization_from_counts(
+        [{f"v{j}": c for j, c in enumerate(counts)} for counts in histograms]
+    )
+    lazy, eager = Engine(), Engine()
+    report, curves = max_disclosure(b, k, engine=lazy), disclosure_by_k(b, k, engine=lazy)
+    with mock.patch.object(engine_module, "_across_sweep", _eager_sweep):
+        assert report == max_disclosure(b, k, engine=eager)
+        assert curves == disclosure_by_k(b, k, engine=eager)
+    assert lazy.across_entries == eager.across_entries
+    assert _keys_capped_by_rem(lazy)
+
+
+def test_saturated_sweep_fills_fewer_minima():
+    # the last bucket's 2 values zero the row below the others from h = 2 on
+    b = bucketization_from_counts(
+        [{"a": 3, "b": 2, "c": 2, "d": 1}, {"a": 2, "b": 2, "c": 1, "d": 1, "e": 1},
+         {"x": 2, "y": 1}]
+    )
+    k = 12
+    session, eager = Engine(), Engine()
+    report = max_disclosure(b, k, engine=session)
+    for bucket in b.buckets:
+        table = eager.table(bucket.counts)
+        for h in range(k + 2):
+            table.minimize(0, h, h)
+    assert report.disclosure == 1
+    assert 0 < session.within_evaluations < eager.within_evaluations
