@@ -21,6 +21,7 @@ from .engine import (
     Engine,
     Placement,
     avoidance_probability,
+    disclosure_at,
     disclosure_by_k,
     max_disclosure,
     max_disclosure_negated_atoms,
@@ -108,6 +109,7 @@ __all__ = [
     "avoidance_probability",
     "binary_search_chain",
     "brute_force_max_disclosure",
+    "disclosure_at",
     "disclosure_by_k",
     "disclosure_vs_k",
     "dump_table",

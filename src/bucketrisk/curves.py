@@ -18,7 +18,7 @@ from typing import Iterable, Sequence, Union
 
 from .engine import disclosure_by_k
 from .errors import ValidationError
-from .table import Bucketization, Source, _csv_reader, make_bucket, min_bucket_entropy
+from .table import Bucketization, Source, _csv_reader, entropy
 
 
 @dataclass(frozen=True)
@@ -45,7 +45,7 @@ class SkewedSingleBucketFamily:
     fixed while entropy falls from log2(domain_size) (uniform, t=0) to 0
     (pure, t=per_value). Along this family disclosure rises as entropy falls
     for every k, which an unconstrained equal-entropy family does not
-    guarantee.
+    guarantee. A member is its count tuple, descending, zero counts dropped.
     """
 
     domain_size: int
@@ -57,18 +57,11 @@ class SkewedSingleBucketFamily:
         if self.per_value < 1:
             raise ValidationError("per_value must be >= 1")
 
-    def members(self) -> Iterable[tuple[float, Bucketization]]:
+    def members(self) -> Iterable[tuple[float, tuple[int, ...]]]:
         m, c = self.domain_size, self.per_value
-        domain = tuple(f"v{i:03d}" for i in range(m))
-        persons = tuple(f"p{j:04d}" for j in range(m * c))
         for t in range(c + 1):
-            counts = [c + (m - 1) * t] + [c - t] * (m - 1)
-            values = []
-            for value, count in zip(domain, counts):
-                values.extend([value] * count)
-            bucket = make_bucket("all", persons, tuple(values))
-            bucketization = Bucketization((bucket,), domain)
-            yield min_bucket_entropy(bucketization), bucketization
+            counts = tuple(filter(None, (c + (m - 1) * t,) + (c - t,) * (m - 1)))
+            yield entropy(counts), counts
 
 
 def entropy_vs_disclosure(family, k_list: Sequence[int]) -> list[CurvePoint]:
@@ -76,10 +69,7 @@ def entropy_vs_disclosure(family, k_list: Sequence[int]) -> list[CurvePoint]:
     if any(k < 0 for k in k_list):
         raise ValidationError("k must be non-negative")
     k_top = max(k_list, default=0)
-    members = [
-        (h, disclosure_by_k(bucketization, k_top)[0])
-        for h, bucketization in family.members()
-    ]
+    members = [(h, disclosure_by_k([counts], k_top)[0]) for h, counts in family.members()]
     points = []
     for k in k_list:
         best: dict[float, Fraction] = {}
@@ -136,8 +126,9 @@ def read_csv(source: Source) -> list[CurvePoint]:
         for row in reader:
             if not row:
                 continue
-            if len(row) != 5:
-                raise ValidationError(f"malformed curve CSV row: {row!r}")
-            series, x, num, den, _ = row
-            points.append(CurvePoint(series, _parse_x(x), Fraction(int(num), int(den))))
+            try:
+                series, x, num, den, _ = row
+                points.append(CurvePoint(series, _parse_x(x), Fraction(int(num), int(den))))
+            except (ValueError, ZeroDivisionError):
+                raise ValidationError(f"malformed curve CSV row: {row!r}") from None
     return points

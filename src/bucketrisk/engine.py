@@ -19,18 +19,16 @@ Two memoized dynamic programs do that:
   multiplying independent per-bucket factors.
 
 One across-bucket sweep at k fills a row whose entry h is the answer for h
-atoms, so it serves every h <= k: ``max_disclosure`` reads entry k and
-backtracks a witness, and ``disclosure_by_k`` reads the whole row. The curve
-also stops at saturation. With d_min the fewest distinct values in any
-bucket, both knowledge classes disclose exactly 1 from k = d_min - 1 on, so
-the curve sweeps only up to min(k_max, d_min - 1) and fills the rest with 1.
+atoms, so it serves every h <= k. Three public readers share it:
+``max_disclosure`` reads entry k and backtracks a witness, ``disclosure_by_k``
+the whole row and ``disclosure_at`` entry k alone. With d_min the fewest
+distinct values in any bucket, both knowledge classes disclose exactly 1 from
+k = d_min - 1 on, so the last two sweep at most to d_min - 1 and give 1 past it.
 
 The sweep runs from the last bucket to the first and fills a bucket's
-within-bucket minima only as far as its scans read them. The row below a
-bucket is non-increasing in h, so from its first zero z on, every scan
-stops at its first candidate, a 0 no later one can beat, and the bucket
-needs minima for at most max(z, 1) atoms rather than k + 1. Values,
-witnesses and counters stay those of a sweep that fills them all.
+within-bucket minima only as far as its scans read them: past the first zero
+of the row below, every scan stops at once, so values, witnesses and counters
+stay those of a sweep that fills them all (``_across_sweep`` says why).
 
 All probabilities are exact rationals. Internally the DP works on
 unnormalized (numerator, denominator) integer pairs compared by
@@ -57,6 +55,8 @@ from typing import Sequence
 from .errors import ValidationError
 from .knowledge import Atom, BasicImplication, simple_implication
 from .table import Bucket, Bucketization
+
+Histograms = Bucketization | Sequence[tuple[int, ...]]
 
 
 def avoidance_probability(bucket: Bucket, parts: Sequence[int]) -> Fraction:
@@ -414,8 +414,15 @@ def minimize_across_buckets(
     return Fraction(*row[k]), Placement(target_bucket, tuple(atom_counts))
 
 
+def _count_tuples(histograms: Histograms) -> Sequence[tuple[int, ...]]:
+    """A bucketization's count tuples, each descending; count tuples pass through."""
+    if isinstance(histograms, Bucketization):
+        return [b.counts for b in histograms.buckets]
+    return histograms
+
+
 def disclosure_by_k(
-    bucketization: Bucketization, k_max: int, *, engine: Engine | None = None
+    histograms: Histograms, k_max: int, *, engine: Engine | None = None
 ) -> tuple[list[Fraction], list[Fraction]]:
     """Worst-case disclosure for every k = 0..k_max, for both knowledge classes.
 
@@ -427,12 +434,29 @@ def disclosure_by_k(
     """
     if k_max < 0:
         raise ValidationError("k_max must be non-negative")
-    histograms = [b.counts for b in bucketization.buckets]
+    histograms = _count_tuples(histograms)
     cap = min(k_max, _saturation(histograms))
     saturated = [Fraction(1)] * (k_max - cap)
     row = _across_sweep(histograms, cap, _session(engine))[0]
     implications = [Fraction(d, n + d) for n, d in row]
     return implications + saturated, _negated_atoms_series(histograms, cap) + saturated
+
+
+def disclosure_at(
+    histograms: Histograms, k: int, *, engine: Engine | None = None
+) -> Fraction:
+    """``max_disclosure(bucketization, k).disclosure``, with no witness.
+
+    From k = d_min - 1 on it is 1 and, unlike in ``disclosure_by_k``, nothing
+    is swept; below that it is entry k of one sweep at k.
+    """
+    if k < 0:
+        raise ValidationError("k must be non-negative")
+    histograms = _count_tuples(histograms)
+    if k >= _saturation(histograms):
+        return Fraction(1)
+    r_num, r_den = _across_sweep(histograms, k, _session(engine))[0][k]
+    return Fraction(r_den, r_num + r_den)
 
 
 # ============================================================================
@@ -487,9 +511,7 @@ def max_disclosure(
     """Worst-case posterior over conjunctions of k implications, with witness."""
     engine = _session(engine)
     ratio, placement = minimize_across_buckets(bucketization, k, engine=engine)
-    disclosure = Fraction(
-        ratio.denominator, ratio.numerator + ratio.denominator
-    )
+    disclosure = 1 / (1 + ratio)
     buckets = bucketization.buckets
     target_bucket = buckets[placement.target_bucket]
     target = Atom(target_bucket.members[0], target_bucket.histogram[0][0])

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence, Union
 
-from .engine import Engine, _across_sweep, _saturation, _session
+from .engine import Engine, Histograms, disclosure_at
 from .errors import BudgetExceededError, ValidationError
 from .table import Bucketization, Source, Table, _bucketize, _group_rows, _open_text
 
@@ -264,7 +264,7 @@ def leq(finer: Bucketization, coarser: Bucketization) -> bool:
     """True iff every coarser bucket is a union of finer buckets."""
     if finer.person_ids != coarser.person_ids:
         raise ValidationError("bucketizations cover different person sets")
-    home = {person: bucket.bucket_id for bucket in coarser.buckets for person in bucket.members}
+    home = coarser.bucket_of
     return all(len({home[person] for person in b.members}) <= 1 for b in finer.buckets)
 
 
@@ -283,25 +283,10 @@ class SafetyThreshold:
 
 
 def is_safe(
-    histograms: Bucketization | Sequence[tuple[int, ...]],
-    threshold: SafetyThreshold,
-    *,
-    engine: Engine | None = None,
+    histograms: Histograms, threshold: SafetyThreshold, *, engine: Engine | None = None
 ) -> bool:
-    """True iff worst-case disclosure against k implications stays below c.
-
-    ``histograms`` is a bucketization or its buckets' count tuples, each
-    sorted in descending order. Reads entry k of one across-bucket sweep and
-    builds no witness. From k = d_min - 1 on the disclosure is 1, so the
-    node is unsafe without a sweep.
-    """
-    if isinstance(histograms, Bucketization):
-        histograms = [b.counts for b in histograms.buckets]
-    k = threshold.k
-    if k >= _saturation(histograms):
-        return False
-    r_num, r_den = _across_sweep(histograms, k, _session(engine))[0][k]
-    return Fraction(r_den, r_num + r_den) < threshold.c
+    """True iff worst-case disclosure against k implications stays below c."""
+    return disclosure_at(histograms, threshold.k, engine=engine) < threshold.c
 
 
 def binary_search_chain(

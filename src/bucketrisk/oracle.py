@@ -85,7 +85,7 @@ def _mentioned_sequences(bucket: Bucket, q: int) -> list[tuple[tuple[str, ...], 
     in lexicographic value order, which keeps every downstream enumeration
     deterministic.
     """
-    remaining = dict(sorted(bucket.multiset().items()))
+    remaining = dict(sorted(bucket.histogram))
     base = math.factorial(bucket.size - q)
     out: list[tuple[tuple[str, ...], int]] = []
     seq: list[str] = []

@@ -19,7 +19,7 @@ import contextlib
 import csv
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import ContextManager, Hashable, Iterable, Iterator, Mapping, Sequence, TextIO, Union
@@ -144,9 +144,6 @@ class Bucket:
         """The j-th most frequent value, or None past the distinct values."""
         return self.histogram[j][0] if j < len(self.histogram) else None
 
-    def multiset(self) -> dict[str, int]:
-        return dict(self.histogram)
-
 
 def make_bucket(bucket_id: str, members: Sequence[str], values: Sequence[str]) -> Bucket:
     """Build a bucket from parallel member/value sequences, sorting the histogram."""
@@ -169,7 +166,6 @@ class Bucketization:
 
     buckets: tuple[Bucket, ...]
     domain: tuple[str, ...]
-    bucket_of: Mapping[str, str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         seen: set[str] = set()
@@ -182,9 +178,11 @@ class Bucketization:
                 if p in seen:
                     raise ValidationError(f"person {p!r} appears in two buckets")
                 seen.add(p)
-        if not self.bucket_of:
-            mapping = {p: b.bucket_id for b in self.buckets for p in b.members}
-            object.__setattr__(self, "bucket_of", mapping)
+
+    @cached_property
+    def bucket_of(self) -> dict[str, str]:
+        """Each person's bucket id, built on first use."""
+        return {p: b.bucket_id for b in self.buckets for p in b.members}
 
     @property
     def person_ids(self) -> frozenset[str]:
@@ -345,14 +343,15 @@ def _bucketize(table: Table, keys: Iterable[tuple[str, ...]]) -> Bucketization:
     return Bucketization(buckets=tuple(buckets), domain=table.domain)
 
 
+def entropy(counts: Sequence[int]) -> float:
+    """Shannon entropy (bits) of a histogram given by its positive counts."""
+    n = sum(counts)
+    return -sum((c / n) * math.log2(c / n) for c in counts) + 0.0
+
+
 def min_bucket_entropy(bucketization: Bucketization) -> float:
     """Minimum over buckets of the Shannon entropy (bits) of the value histogram."""
-    best = math.inf
-    for b in bucketization.buckets:
-        n = b.size
-        h = -sum((c / n) * math.log2(c / n) for c in b.counts) + 0.0
-        best = min(best, h)
-    return best
+    return min((entropy(b.counts) for b in bucketization.buckets), default=math.inf)
 
 
 def dump_table(table: Table) -> str:

@@ -101,7 +101,8 @@ def test_entropy_vs_disclosure_equals_per_k_reference():
     expected = []
     for k in k_list:
         best = {}
-        for h, b13n in family.members():
+        for h, counts in family.members():
+            b13n = bucketization_from_counts([{f"v{j}": c for j, c in enumerate(counts)}])
             value = max_disclosure(b13n, k).disclosure
             if h not in best or value < best[h]:
                 best[h] = value
@@ -115,14 +116,13 @@ def test_family_members():
     assert len(members) == 4
     h0, uniform = members[0]
     assert abs(h0 - math.log2(3)) < 1e-12
-    assert uniform.buckets[0].counts == (3, 3, 3)
+    assert uniform == (3, 3, 3)
     h_last, pure = members[-1]
     assert h_last == 0.0
-    assert pure.buckets[0].counts == (9,)
-    # population and person ids stay fixed across members
-    assert {b13n.buckets[0].members for _, b13n in members} == {
-        uniform.buckets[0].members
-    }
+    assert pure == (9,)  # zero counts are dropped
+    # entropy falls while the population stays fixed
+    assert [h for h, _ in members] == sorted((h for h, _ in members), reverse=True)
+    assert {sum(counts) for _, counts in members} == {9}
     with pytest.raises(ValidationError):
         SkewedSingleBucketFamily(domain_size=0, per_value=3)
     with pytest.raises(ValidationError):
@@ -200,3 +200,11 @@ def test_read_csv_rejects_bad_input():
     # a field past the csv module's size limit
     with pytest.raises(ValidationError, match="malformed CSV at line 2"):
         read_csv(io.StringIO(f"series,x,num,den,decimal\n{'a' * 200_000},1,2,3,0.6\n"))
+
+
+@pytest.mark.parametrize("row", ["a,1,1,0,0.5", "a,1,x,1,0.5", "a,abc,1,1,0.5"])
+def test_read_csv_rejects_unparsable_row(row):
+    # a zero den, a non-integer num and a non-numeric x name the row
+    with pytest.raises(ValidationError, match="malformed curve CSV row") as info:
+        read_csv(io.StringIO(f"series,x,num,den,decimal\n{row}\n"))
+    assert repr(row.split(",")) in str(info.value)

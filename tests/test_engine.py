@@ -1,4 +1,7 @@
 import contextvars
+import importlib
+import inspect
+import pkgutil
 import random
 from collections import Counter
 from fractions import Fraction
@@ -17,6 +20,7 @@ from bucketrisk import (
     ValidationError,
     all_minimal_safe,
     avoidance_probability,
+    disclosure_at,
     disclosure_by_k,
     exact_posterior,
     knowledge_probability,
@@ -29,6 +33,7 @@ from bucketrisk import (
     negation_as_implication,
     simple_implication,
 )
+import bucketrisk
 from bucketrisk import engine as engine_module
 from bucketrisk.oracle import NEGATED_ATOMS, brute_force_max_disclosure
 from conftest import DATA
@@ -461,3 +466,42 @@ def test_saturated_sweep_fills_fewer_minima():
             table.minimize(0, h, h)
     assert report.disclosure == 1
     assert 0 < session.within_evaluations < eager.within_evaluations
+
+
+@given(histograms=_histograms, k=st.integers(0, 15))
+@settings(max_examples=150, deadline=None)
+def test_disclosure_at_matches_the_other_readers(histograms, k):
+    b = bucketization_from_counts(
+        [{f"v{j}": c for j, c in enumerate(counts)} for counts in histograms]
+    )
+    expected = max_disclosure(b, k).disclosure
+    for form in (b, histograms):
+        assert disclosure_at(form, k) == expected == disclosure_by_k(form, k)[0][k]
+        if k >= min(map(len, histograms)) - 1:
+            # saturated: the answer is 1 and no sweep runs, where a capped
+            # disclosure_by_k row would still sweep up to d_min - 1
+            session = Engine()
+            assert disclosure_at(form, k, engine=session) == 1
+            assert session.across_entries == 0 and session.histograms == 0
+
+
+def test_no_module_but_the_engine_holds_its_private_functions():
+    private = {
+        id(value)
+        for name, value in vars(engine_module).items()
+        if name.startswith("_")
+        and inspect.isfunction(value)
+        and value.__module__ == engine_module.__name__
+    }
+    modules = [bucketrisk] + [
+        importlib.import_module(f"bucketrisk.{info.name}")
+        for info in pkgutil.iter_modules(bucketrisk.__path__)
+    ]
+    held = [
+        f"{module.__name__}.{name}"
+        for module in modules
+        if module is not engine_module
+        for name, value in vars(module).items()
+        if id(value) in private
+    ]
+    assert private and held == []
