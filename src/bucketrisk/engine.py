@@ -28,7 +28,11 @@ k = d_min - 1 on, so the last two sweep at most to d_min - 1 and give 1 past it.
 The sweep runs from the last bucket to the first and fills a bucket's
 within-bucket minima only as far as its scans read them: past the first zero
 of the row below, every scan stops at once, so values, witnesses and counters
-stay those of a sweep that fills them all (``_across_sweep`` says why).
+stay those of a sweep that fills them all (``_across_sweep`` says why). A
+bucket whose histogram occurs more than k times after it is not scanned at
+all: any placement that uses it leaves one of those k + 1 copies free, which
+gives the same value, so its row is read off the row below in O(k)
+(``Engine.repeat_rows`` counts such buckets).
 
 All probabilities are exact rationals. Internally the DP works on
 unnormalized (numerator, denominator) integer pairs compared by
@@ -171,15 +175,18 @@ class Engine:
     """One session of engine work: within-bucket tables and work counters.
 
     ``tables`` maps histogram counts to a memoized within-bucket table;
-    ``across_entries`` sums the across-bucket entries of every sweep. A
-    session is not safe for concurrent use.
+    ``across_entries`` sums the across-bucket entries of every sweep and
+    ``repeat_rows`` the bucket rows that the repeat rule of
+    ``_across_sweep`` served without a scan. A session is not safe for
+    concurrent use.
     """
 
-    __slots__ = ("tables", "across_entries")
+    __slots__ = ("tables", "across_entries", "repeat_rows")
 
     def __init__(self) -> None:
         self.tables: dict[tuple[int, ...], _BucketTable] = {}
         self.across_entries = 0
+        self.repeat_rows = 0
 
     def table(self, counts: tuple[int, ...]) -> _BucketTable:
         """The session's table for this histogram, made on first use."""
@@ -255,6 +262,13 @@ class Placement:
     atom_counts: tuple[int, ...]
 
 
+def _count_tuples(histograms: Histograms) -> Sequence[tuple[int, ...]]:
+    """A bucketization's count tuples, each descending; count tuples pass through."""
+    if isinstance(histograms, Bucketization):
+        return [b.counts for b in histograms.buckets]
+    return histograms
+
+
 def _saturation(histograms: Sequence[tuple[int, ...]]) -> int:
     """The k from which both knowledge classes disclose exactly 1: d_min - 1.
 
@@ -288,7 +302,18 @@ def _across_sweep(
     every scan of row i at h >= z takes the zero at hp = 0 and stops: no
     later candidate is strictly below 0. Row i then reads minima for at most
     max(z, 1) atoms (z = k + 1 when no entry is zero), with the same values,
-    back-pointers and counts as a sweep that filled all k + 2.
+    back-pointers and counts as a sweep that filled all k + 2. Below the last
+    bucket only t_next[0] is feasible, so its scans start at hp = h.
+
+    A bucket whose histogram occurs more than k times after it (``copies``)
+    is not scanned. A placement that puts the target or hp >= 1 atoms into
+    bucket i spreads its other atoms, at most k, over at most k later
+    buckets, so one of the k + 1 later copies is free, and moving bucket i's
+    share there gives the same value. No candidate that uses bucket i is
+    then strictly below t_next[h] or f_next[h], and the strict-< scans keep
+    hp = 0 in the t-row and, in the f-row, the first of the two minimal
+    candidates in scan order: the target here with no extra atom (code 1),
+    unless f_next[h] (code 0) is strictly smaller.
     """
     m = len(histograms)
     # base rows: past the last bucket, feasible iff nothing left to place and
@@ -297,11 +322,28 @@ def _across_sweep(
     f_next: list[tuple[int, int] | None] = [None] * (k + 1)
     choice_t: list[list[int]] = [[]] * m
     choice_f: list[list[int]] = [[]] * m
+    copies: dict[tuple[int, ...], int] = {}  # occurrences after bucket i
 
     for i in range(m - 1, -1, -1):
         counts = histograms[i]
         table = engine.table(counts)
         nb, top = table.n, counts[0]
+        seen = copies.get(counts, 0)
+        copies[counts] = seen + 1
+        if seen > k:
+            # a free copy below: t-row as below, f-row of codes 1 and 0 only
+            w1n, w1d = table.minimize(0, 1, 1)
+            f_row, cf = [], []
+            for t, f in zip(t_next, f_next):
+                cn, cd = w1n * nb * t[0], w1d * top * t[1]
+                later = f[0] * cd < cn * f[1]
+                f_row.append(f if later else (cn, cd))
+                cf.append(0 if later else 1)
+            f_next = f_row
+            choice_t[i], choice_f[i] = [0] * (k + 1), cf
+            engine.repeat_rows += 1
+            continue
+        last = i == m - 1  # below it only t_next[0] is feasible
         z = next((h for h, e in enumerate(t_next) if e is not None and e[0] == 0), k + 1)
         wbi = [table.minimize(0, h, h) for h in range(max(z, 1) + 1)]
         t_row: list[tuple[int, int] | None] = [None] * (k + 1)
@@ -312,7 +354,7 @@ def _across_sweep(
             # target already placed: just distribute h atoms
             bn = bd = None
             bch = 0
-            for hp in range(h + 1):
+            for hp in range(h if last else 0, h + 1):
                 sub = t_next[h - hp]
                 if sub is None:
                     continue
@@ -335,7 +377,7 @@ def _across_sweep(
             # it) or into a later bucket
             bn = bd = None
             bcf = 0
-            for hp in range(h + 1):
+            for hp in range(h if last else 0, h + 1):
                 sub = t_next[h - hp]
                 if sub is not None:
                     wn, wd = wbi[hp + 1]
@@ -372,7 +414,7 @@ def _across_sweep(
 
 
 def minimize_across_buckets(
-    bucketization: Bucketization, k: int, *, engine: Engine | None = None
+    histograms: Histograms, k: int, *, engine: Engine | None = None
 ) -> tuple[Fraction, Placement]:
     """Minimum of r over all placements of the k+1 atoms, with the placement.
 
@@ -384,10 +426,11 @@ def minimize_across_buckets(
     to place, target placed yet?), infeasible states are None. All k atoms
     are always placed: every within-bucket factor is <= 1, so using fewer
     can never win (and the padding argument makes the two minima equal).
+    ``histograms`` is a bucketization or its count tuples.
     """
     if k < 0:
         raise ValidationError("k must be non-negative")
-    histograms = [b.counts for b in bucketization.buckets]
+    histograms = _count_tuples(histograms)
     m = len(histograms)
     if m == 0:
         raise ValidationError("empty bucketization")
@@ -412,13 +455,6 @@ def minimize_across_buckets(
             atom_counts[i] = hp
         h -= hp
     return Fraction(*row[k]), Placement(target_bucket, tuple(atom_counts))
-
-
-def _count_tuples(histograms: Histograms) -> Sequence[tuple[int, ...]]:
-    """A bucketization's count tuples, each descending; count tuples pass through."""
-    if isinstance(histograms, Bucketization):
-        return [b.counts for b in histograms.buckets]
-    return histograms
 
 
 def disclosure_by_k(
@@ -565,7 +601,7 @@ def _negated_atoms_series(
     return [Fraction(n, d) for n, d in best]
 
 
-def max_disclosure_negated_atoms(bucketization: Bucketization, k: int) -> Fraction:
+def max_disclosure_negated_atoms(histograms: Histograms, k: int) -> Fraction:
     """Worst-case posterior when the k knowledge units are negated atoms.
 
     The worst case concentrates every negation on one person (verified
@@ -573,9 +609,10 @@ def max_disclosure_negated_atoms(bucketization: Bucketization, k: int) -> Fracti
     than proved): with u = min(k+1, distinct values), exclude u-1 of the
     bucket's top u values and target the remaining one, of count x. That
     gives x / (A + x) with A = n_b - (sum of the top u counts), which grows
-    with x, so the best target is the most frequent value.
+    with x, so the best target is the most frequent value. ``histograms``
+    is a bucketization or its count tuples.
     """
     if k < 0:
         raise ValidationError("k must be non-negative")
-    histograms = [b.counts for b in bucketization.buckets]
+    histograms = _count_tuples(histograms)
     return _negated_atoms_series(histograms, min(k, _saturation(histograms)))[-1]

@@ -8,7 +8,7 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bucketrisk import (
     Atom,
@@ -421,13 +421,20 @@ def _keys_capped_by_rem(session):
 
 
 # 1-4 distinct values per bucket, so the row below a bucket reaches 0 at varied h
-_histograms = st.lists(
-    st.lists(st.integers(1, 4), min_size=1, max_size=4).map(
-        lambda counts: tuple(sorted(counts, reverse=True))
-    ),
-    min_size=1,
-    max_size=5,
+_counts = st.lists(st.integers(1, 4), min_size=1, max_size=4).map(
+    lambda counts: tuple(sorted(counts, reverse=True))
 )
+_histograms = st.lists(_counts, min_size=1, max_size=5)
+# up to 24 buckets drawn from a pool of 1-3 histograms, so some repeat > k times
+_pooled_histograms = st.lists(_counts, min_size=1, max_size=3).flatmap(
+    lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=24)
+)
+
+
+def _from_counts(histograms):
+    return bucketization_from_counts(
+        [{f"v{j}": c for j, c in enumerate(counts)} for counts in histograms]
+    )
 
 
 @given(histograms=_histograms, k=st.integers(0, 15))
@@ -439,9 +446,7 @@ def test_bounded_fill_matches_eager_sweep(histograms, k):
     assert lazy.across_entries == eager.across_entries
     assert _keys_capped_by_rem(lazy)
 
-    b = bucketization_from_counts(
-        [{f"v{j}": c for j, c in enumerate(counts)} for counts in histograms]
-    )
+    b = _from_counts(histograms)
     lazy, eager = Engine(), Engine()
     report, curves = max_disclosure(b, k, engine=lazy), disclosure_by_k(b, k, engine=lazy)
     with mock.patch.object(engine_module, "_across_sweep", _eager_sweep):
@@ -449,6 +454,61 @@ def test_bounded_fill_matches_eager_sweep(histograms, k):
         assert curves == disclosure_by_k(b, k, engine=eager)
     assert lazy.across_entries == eager.across_entries
     assert _keys_capped_by_rem(lazy)
+
+
+@given(histograms=_pooled_histograms, k=st.integers(0, 10))
+@example(histograms=[(3,), (3,)], k=0)  # two minimal f-row candidates: code 1 wins
+@settings(max_examples=200, deadline=None)
+def test_repeated_histograms_match_eager_sweep(histograms, k):
+    lazy, eager = Engine(), Engine()
+    got = engine_module._across_sweep(histograms, k, lazy)
+    assert got == _eager_sweep(histograms, k, eager)
+    assert lazy.across_entries == eager.across_entries
+    assert lazy.within_evaluations <= eager.within_evaluations
+
+    b = _from_counts(histograms)
+    lazy, eager = Engine(), Engine()
+    report, curves = max_disclosure(b, k, engine=lazy), disclosure_by_k(b, k, engine=lazy)
+    with mock.patch.object(engine_module, "_across_sweep", _eager_sweep):
+        assert report == max_disclosure(b, k, engine=eager)
+        assert curves == disclosure_by_k(b, k, engine=eager)
+    assert lazy.across_entries == eager.across_entries
+    assert lazy.within_evaluations <= eager.within_evaluations
+
+
+def test_repeat_rows_counts_buckets_served_without_a_scan():
+    # bucket i has 39 - i copies after it; those with more than 5 are served
+    session = Engine()
+    max_disclosure(_from_counts([(3, 2, 1)] * 40), 5, engine=session)
+    assert session.repeat_rows == 34
+    # no histogram occurs more than k = 2 times after any bucket
+    session = Engine()
+    max_disclosure(_from_counts([(2, 1)] * 3 + [(3, 1)] * 3), 2, engine=session)
+    assert session.repeat_rows == 0
+
+
+def test_last_bucket_sweep_at_large_k_matches_eager_sweep(demo_bucketization):
+    # the clinic table by Sex: below the last bucket only hp = h is feasible
+    histograms = [b.counts for b in demo_bucketization.buckets]
+    assert histograms == [(2, 2, 1), (2, 1, 1, 1)]
+    got = engine_module._across_sweep(histograms, 300, Engine())
+    assert got == _eager_sweep(histograms, 300, Engine())
+
+
+@given(histograms=_histograms, k=st.integers(0, 6))
+@settings(max_examples=60, deadline=None)
+def test_count_tuples_and_bucketization_agree(histograms, k):
+    b = _from_counts(histograms)
+    assert minimize_across_buckets(histograms, k) == minimize_across_buckets(b, k)
+    assert max_disclosure_negated_atoms(histograms, k) == max_disclosure_negated_atoms(b, k)
+
+
+def test_count_tuple_entry_points_keep_their_errors():
+    for call in (minimize_across_buckets, max_disclosure_negated_atoms):
+        with pytest.raises(ValidationError, match="empty bucketization"):
+            call([], 1)
+        with pytest.raises(ValidationError, match="k must be non-negative"):
+            call([(2, 1)], -1)
 
 
 def test_saturated_sweep_fills_fewer_minima():
@@ -471,9 +531,7 @@ def test_saturated_sweep_fills_fewer_minima():
 @given(histograms=_histograms, k=st.integers(0, 15))
 @settings(max_examples=150, deadline=None)
 def test_disclosure_at_matches_the_other_readers(histograms, k):
-    b = bucketization_from_counts(
-        [{f"v{j}": c for j, c in enumerate(counts)} for counts in histograms]
-    )
+    b = _from_counts(histograms)
     expected = max_disclosure(b, k).disclosure
     for form in (b, histograms):
         assert disclosure_at(form, k) == expected == disclosure_by_k(form, k)[0][k]
