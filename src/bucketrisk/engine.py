@@ -333,13 +333,9 @@ def _across_sweep(
         if seen > k:
             # a free copy below: t-row as below, f-row of codes 1 and 0 only
             w1n, w1d = table.minimize(0, 1, 1)
-            f_row, cf = [], []
-            for t, f in zip(t_next, f_next):
-                cn, cd = w1n * nb * t[0], w1d * top * t[1]
-                later = f[0] * cd < cn * f[1]
-                f_row.append(f if later else (cn, cd))
-                cf.append(0 if later else 1)
-            f_next = f_row
+            here = [(w1n * nb * t[0], w1d * top * t[1]) for t in t_next]
+            cf = [0 if f[0] * c[1] < c[0] * f[1] else 1 for f, c in zip(f_next, here)]
+            f_next = [c if code else f for f, c, code in zip(f_next, here, cf)]
             choice_t[i], choice_f[i] = [0] * (k + 1), cf
             engine.repeat_rows += 1
             continue
