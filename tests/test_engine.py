@@ -446,7 +446,9 @@ def test_bounded_fill_matches_eager_sweep(histograms, k):
     assert lazy.across_entries == eager.across_entries
     assert _keys_capped_by_rem(lazy)
 
-    b = _from_counts(histograms)
+    b = bucketization_from_counts(
+        [{f"v{j}": c for j, c in enumerate(counts)} for counts in histograms]
+    )
     lazy, eager = Engine(), Engine()
     report, curves = max_disclosure(b, k, engine=lazy), disclosure_by_k(b, k, engine=lazy)
     with mock.patch.object(engine_module, "_across_sweep", _eager_sweep):
@@ -531,7 +533,9 @@ def test_saturated_sweep_fills_fewer_minima():
 @given(histograms=_histograms, k=st.integers(0, 15))
 @settings(max_examples=150, deadline=None)
 def test_disclosure_at_matches_the_other_readers(histograms, k):
-    b = _from_counts(histograms)
+    b = bucketization_from_counts(
+        [{f"v{j}": c for j, c in enumerate(counts)} for counts in histograms]
+    )
     expected = max_disclosure(b, k).disclosure
     for form in (b, histograms):
         assert disclosure_at(form, k) == expected == disclosure_by_k(form, k)[0][k]
