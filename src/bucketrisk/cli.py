@@ -231,7 +231,8 @@ def _parse_chain(spec: str, hierarchy) -> list[tuple[int, ...]]:
         current[index[attribute]] = low
     chain = [tuple(current)]
     for attribute, low, high in ranges:
-        for level in range(low + 1, high + 1):
+        # the first level past the top already fails check_node: stop there
+        for level in range(low + 1, min(high, hierarchy.max_level(attribute) + 1) + 1):
             current[index[attribute]] = level
             chain.append(tuple(current))
     return chain

@@ -36,8 +36,7 @@ gives the same value, so its row is read off the row below in O(k)
 
 All probabilities are exact rationals. Internally the DP works on
 unnormalized (numerator, denominator) integer pairs compared by
-cross-multiplication; ``None`` marks an infeasible state. Fractions appear
-only at the public boundary.
+cross-multiplication. Fractions appear only at the public boundary.
 
 Work is memoized in an ``Engine`` session: one within-bucket table per
 distinct histogram, shared by identical histograms, plus work counters.
@@ -262,24 +261,26 @@ class Placement:
     atom_counts: tuple[int, ...]
 
 
-def _count_tuples(histograms: Histograms) -> Sequence[tuple[int, ...]]:
-    """A bucketization's count tuples, each descending; count tuples pass through."""
-    if isinstance(histograms, Bucketization):
-        return [b.counts for b in histograms.buckets]
-    return histograms
+def _checked_counts(
+    histograms: Histograms, k: int, name: str = "k"
+) -> tuple[Sequence[tuple[int, ...]], int]:
+    """Check k and the input; return the count tuples and d_min - 1.
 
-
-def _saturation(histograms: Sequence[tuple[int, ...]]) -> int:
-    """The k from which both knowledge classes disclose exactly 1: d_min - 1.
-
-    In a bucket of d_min distinct values, one person can carry the target
-    (its top value) plus an atom, or a negation, for each of the d_min - 1
-    other values. No world then gives that person another value, so r = 0
-    and the disclosure is 1; more knowledge cannot lower a worst case.
+    A bucketization becomes its count tuples, each descending; count tuples
+    pass through. d_min - 1 is the k from which both knowledge classes
+    disclose exactly 1: in a bucket of d_min distinct values, one person can
+    carry the target (its top value) plus an atom, or a negation, for each
+    of the d_min - 1 other values. No world then gives that person another
+    value, so r = 0 and the disclosure is 1; more knowledge cannot lower a
+    worst case.
     """
+    if k < 0:
+        raise ValidationError(f"{name} must be non-negative")
+    if isinstance(histograms, Bucketization):
+        histograms = [b.counts for b in histograms.buckets]
     if not histograms:
         raise ValidationError("empty bucketization")
-    return min(map(len, histograms)) - 1
+    return histograms, min(map(len, histograms)) - 1
 
 
 def _across_sweep(
@@ -295,15 +296,20 @@ def _across_sweep(
     within-bucket minima for up to h+1 atoms, so a sweep at k holds the
     exact answer for every h <= k.
 
+    The sweep starts from the last bucket's two rows, read off its k + 2
+    within-bucket minima: nothing is left to place after it, so its t-row
+    entry h puts all h atoms there (back-pointer h) and its f-row entry h
+    puts the target and h atoms there (code 2h + 1). It then scans buckets
+    m - 2 down to 0.
+
     A bucket's within-bucket minima are filled only as far as its scans
     read them. The t-row below it (buckets i+1.., target placed) is
-    non-increasing in h past the base row, because each within-bucket
-    minimum is. So from its first zero entry z on, every entry is zero, and
-    every scan of row i at h >= z takes the zero at hp = 0 and stops: no
-    later candidate is strictly below 0. Row i then reads minima for at most
-    max(z, 1) atoms (z = k + 1 when no entry is zero), with the same values,
-    back-pointers and counts as a sweep that filled all k + 2. Below the last
-    bucket only t_next[0] is feasible, so its scans start at hp = h.
+    non-increasing in h, because each within-bucket minimum is. So from its
+    first zero entry z on, every entry is zero, and every scan of row i at
+    h >= z takes the zero at hp = 0 and stops: no later candidate is
+    strictly below 0. Row i then reads minima for at most max(z, 1) atoms
+    (z = k + 1 when no entry is zero), with the same values, back-pointers
+    and counts as a sweep that filled all k + 2.
 
     A bucket whose histogram occurs more than k times after it (``copies``)
     is not scanned. A placement that puts the target or hp >= 1 atoms into
@@ -316,15 +322,17 @@ def _across_sweep(
     unless f_next[h] (code 0) is strictly smaller.
     """
     m = len(histograms)
-    # base rows: past the last bucket, feasible iff nothing left to place and
-    # the target was placed somewhere
-    t_next: list[tuple[int, int] | None] = [(1, 1)] + [None] * k
-    f_next: list[tuple[int, int] | None] = [None] * (k + 1)
-    choice_t: list[list[int]] = [[]] * m
-    choice_f: list[list[int]] = [[]] * m
-    copies: dict[tuple[int, ...], int] = {}  # occurrences after bucket i
+    counts = histograms[-1]
+    table = engine.table(counts)
+    nb, top = table.n, counts[0]
+    wbi = [table.minimize(0, h, h) for h in range(k + 2)]
+    t_next = [(0, 1) if wn == 0 else (wn, wd) for wn, wd in wbi[:-1]]
+    f_next = [(wn * nb, wd * top) for wn, wd in wbi[1:]]
+    choice_t: list[list[int]] = [[]] * (m - 1) + [list(range(k + 1))]
+    choice_f: list[list[int]] = [[]] * (m - 1) + [list(range(1, 2 * k + 2, 2))]
+    copies = {counts: 1}  # occurrences after bucket i
 
-    for i in range(m - 1, -1, -1):
+    for i in range(m - 2, -1, -1):
         counts = histograms[i]
         table = engine.table(counts)
         nb, top = table.n, counts[0]
@@ -339,73 +347,60 @@ def _across_sweep(
             choice_t[i], choice_f[i] = [0] * (k + 1), cf
             engine.repeat_rows += 1
             continue
-        last = i == m - 1  # below it only t_next[0] is feasible
-        z = next((h for h, e in enumerate(t_next) if e is not None and e[0] == 0), k + 1)
+        z = next((h for h, e in enumerate(t_next) if e[0] == 0), k + 1)
         wbi = [table.minimize(0, h, h) for h in range(max(z, 1) + 1)]
-        t_row: list[tuple[int, int] | None] = [None] * (k + 1)
-        f_row: list[tuple[int, int] | None] = [None] * (k + 1)
-        ct = [0] * (k + 1)
-        cf = [0] * (k + 1)
+        t_row, f_row, ct, cf = [], [], [], []
         for h in range(k + 1):
-            # target already placed: just distribute h atoms
-            bn = bd = None
+            # target already placed: just distribute h atoms, starting from
+            # none here (hp = 0)
+            bn, bd = t_next[h]
             bch = 0
-            for hp in range(h if last else 0, h + 1):
-                sub = t_next[h - hp]
-                if sub is None:
-                    continue
-                wn, wd = wbi[hp]
-                if wn == 0:
-                    cn, cd = 0, 1
-                elif hp == 0:
-                    cn, cd = sub
-                else:
-                    cn = wn * sub[0]
-                    cd = wd * sub[1]
-                if bn is None or cn * bd < bn * cd:
-                    bn, bd, bch = cn, cd, hp
-                    if cn == 0:
-                        break
-            if bn is not None:
-                t_row[h] = (bn, bd)
-                ct[h] = bch
-            # target not placed yet: it goes here (hp extra atoms alongside
-            # it) or into a later bucket
-            bn = bd = None
-            bcf = 0
-            for hp in range(h if last else 0, h + 1):
-                sub = t_next[h - hp]
-                if sub is not None:
-                    wn, wd = wbi[hp + 1]
-                    cn = wn * nb * sub[0]
-                    cd = wd * top * sub[1]
-                    if bn is None or cn * bd < bn * cd:
-                        bn, bd, bcf = cn, cd, hp * 2 + 1
-                        if cn == 0:
-                            break
-                sub = f_next[h - hp]
-                if sub is not None:
+            if bn:
+                for hp in range(1, h + 1):
                     wn, wd = wbi[hp]
                     if wn == 0:
                         cn, cd = 0, 1
-                    elif hp == 0:
-                        cn, cd = sub
                     else:
+                        sub = t_next[h - hp]
                         cn = wn * sub[0]
                         cd = wd * sub[1]
-                    if bn is None or cn * bd < bn * cd:
-                        bn, bd, bcf = cn, cd, hp * 2
+                    if cn * bd < bn * cd:
+                        bn, bd, bch = cn, cd, hp
                         if cn == 0:
                             break
-            if bn is not None:
-                f_row[h] = (bn, bd)
-                cf[h] = bcf
+            t_row.append((bn, bd))
+            ct.append(bch)
+            # target not placed yet: it goes here (hp extra atoms alongside
+            # it) or into a later bucket; (1, 0) is above every candidate,
+            # whose denominators are positive
+            bn, bd, bcf = 1, 0, 0
+            for hp in range(h + 1):
+                sub = t_next[h - hp]
+                wn, wd = wbi[hp + 1]
+                cn = wn * nb * sub[0]
+                cd = wd * top * sub[1]
+                if cn * bd < bn * cd:
+                    bn, bd, bcf = cn, cd, hp * 2 + 1
+                    if cn == 0:
+                        break
+                sub = f_next[h - hp]
+                wn, wd = wbi[hp]
+                if wn == 0:
+                    cn, cd = 0, 1
+                else:
+                    cn = wn * sub[0]
+                    cd = wd * sub[1]
+                if cn * bd < bn * cd:
+                    bn, bd, bcf = cn, cd, hp * 2
+                    if cn == 0:
+                        break
+            f_row.append((bn, bd))
+            cf.append(bcf)
         t_next, f_next = t_row, f_row
         choice_t[i] = ct
         choice_f[i] = cf
 
     engine.across_entries += 2 * m * (k + 1)
-    # the target atom can always be placed, so no entry of f_next is None
     return f_next, choice_t, choice_f
 
 
@@ -419,17 +414,13 @@ def minimize_across_buckets(
     (the target is always a most-frequent-value atom there, which both
     belongs to the numerator's minimal atom set and maximizes the
     denominator). The DP sweeps buckets once; states are (bucket, atoms still
-    to place, target placed yet?), infeasible states are None. All k atoms
-    are always placed: every within-bucket factor is <= 1, so using fewer
-    can never win (and the padding argument makes the two minima equal).
-    ``histograms`` is a bucketization or its count tuples.
+    to place, target placed yet?). All k atoms are always placed: every
+    within-bucket factor is <= 1, so using fewer can never win (and the
+    padding argument makes the two minima equal). ``histograms`` is a
+    bucketization or its count tuples.
     """
-    if k < 0:
-        raise ValidationError("k must be non-negative")
-    histograms = _count_tuples(histograms)
+    histograms = _checked_counts(histograms, k)[0]
     m = len(histograms)
-    if m == 0:
-        raise ValidationError("empty bucketization")
     row, choice_t, choice_f = _across_sweep(histograms, k, _session(engine))
 
     atom_counts = [0] * m
@@ -464,10 +455,8 @@ def disclosure_by_k(
     across-bucket sweep serves every k, no witness is built, and no column
     past saturation (k = d_min - 1, where both classes reach 1) is computed.
     """
-    if k_max < 0:
-        raise ValidationError("k_max must be non-negative")
-    histograms = _count_tuples(histograms)
-    cap = min(k_max, _saturation(histograms))
+    histograms, saturation = _checked_counts(histograms, k_max, "k_max")
+    cap = min(k_max, saturation)
     saturated = [Fraction(1)] * (k_max - cap)
     row = _across_sweep(histograms, cap, _session(engine))[0]
     implications = [Fraction(d, n + d) for n, d in row]
@@ -482,10 +471,8 @@ def disclosure_at(
     From k = d_min - 1 on it is 1 and, unlike in ``disclosure_by_k``, nothing
     is swept; below that it is entry k of one sweep at k.
     """
-    if k < 0:
-        raise ValidationError("k must be non-negative")
-    histograms = _count_tuples(histograms)
-    if k >= _saturation(histograms):
+    histograms, saturation = _checked_counts(histograms, k)
+    if k >= saturation:
         return Fraction(1)
     r_num, r_den = _across_sweep(histograms, k, _session(engine))[0][k]
     return Fraction(r_den, r_num + r_den)
@@ -608,7 +595,5 @@ def max_disclosure_negated_atoms(histograms: Histograms, k: int) -> Fraction:
     with x, so the best target is the most frequent value. ``histograms``
     is a bucketization or its count tuples.
     """
-    if k < 0:
-        raise ValidationError("k must be non-negative")
-    histograms = _count_tuples(histograms)
-    return _negated_atoms_series(histograms, min(k, _saturation(histograms)))[-1]
+    histograms, saturation = _checked_counts(histograms, k)
+    return _negated_atoms_series(histograms, min(k, saturation))[-1]

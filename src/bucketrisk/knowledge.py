@@ -101,7 +101,10 @@ def implication_holds(assignment: Mapping[str, str], impl: BasicImplication) -> 
             raise ValidationError(f"unknown person {a.person!r}") from None
         if actual != a.value:
             return True  # antecedent conjunction false: vacuously satisfied
-    return any(assignment[b.person] == b.value for b in impl.consequents)
+    try:
+        return any(assignment[b.person] == b.value for b in impl.consequents)
+    except KeyError as error:
+        raise ValidationError(f"unknown person {error.args[0]!r}") from None
 
 
 def knowledge_holds(assignment: Mapping[str, str], knowledge: Knowledge) -> bool:

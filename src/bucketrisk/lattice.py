@@ -341,7 +341,7 @@ def all_minimal_safe(
     size = hierarchy.size()
     if size > budget:
         raise BudgetExceededError(size, budget)
-    order = sorted(hierarchy.nodes(), key=lambda n: (sum(n), n))
+    order = sorted(hierarchy.nodes(), key=height_utility)
     minimal: list[Node] = []
     bottom, engine = _bottom_tallies(table, hierarchy), Engine()
     for node in order:

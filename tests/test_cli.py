@@ -270,6 +270,13 @@ def test_anonymize_mode_validation(runner):
     assert r.exit_code == 2
     r = invoke(runner, "anonymize", *ANON_ARGS, "--c", "7/10", "--chain", "Zip=1..0")
     assert r.exit_code == 2
+    # a range far past the hierarchy's top is rejected without building it
+    r = invoke(
+        runner, "anonymize", *ANON_ARGS, "--c", "7/10", "--chain", "Age=0..1000000000000"
+    )
+    assert r.exit_code == 2
+    assert r.stderr == "error: level 2 out of range for attribute 'Age' (0..1)\n"
+    assert "Traceback" not in r.output
 
 
 def test_curve_k_to_file(runner, tmp_path):

@@ -506,11 +506,18 @@ def test_count_tuples_and_bucketization_agree(histograms, k):
 
 
 def test_count_tuple_entry_points_keep_their_errors():
-    for call in (minimize_across_buckets, max_disclosure_negated_atoms):
-        with pytest.raises(ValidationError, match="empty bucketization"):
+    calls = (
+        (minimize_across_buckets, "k"),
+        (max_disclosure_negated_atoms, "k"),
+        (disclosure_by_k, "k_max"),
+        (disclosure_at, "k"),
+    )
+    for call, name in calls:
+        with pytest.raises(ValidationError, match="^empty bucketization$"):
             call([], 1)
-        with pytest.raises(ValidationError, match="k must be non-negative"):
-            call([(2, 1)], -1)
+        for histograms in ([(2, 1)], []):  # k is checked before the input
+            with pytest.raises(ValidationError, match=f"^{name} must be non-negative$"):
+                call(histograms, -1)
 
 
 def test_saturated_sweep_fills_fewer_minima():

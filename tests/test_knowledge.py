@@ -118,8 +118,9 @@ def test_implication_holds_cases():
     assert not implication_holds(
         assignment, BasicImplication((Atom("A", "x"),), (Atom("B", "q"), Atom("C", "q")))
     )
-    with pytest.raises(ValidationError):
-        implication_holds(assignment, imp(("Ghost", "x"), ("A", "x")))
+    for unknown in (imp(("Ghost", "x"), ("A", "x")), imp(("A", "x"), ("Ghost", "x"))):
+        with pytest.raises(ValidationError, match="unknown person 'Ghost'"):
+            implication_holds(assignment, unknown)
 
 
 def test_knowledge_holds_is_conjunction():
