@@ -76,7 +76,7 @@ def handles_errors(fn):
 )
 @click.option(
     "--budget",
-    type=int,
+    type=click.IntRange(min=0),
     default=DEFAULT_BUDGET,
     show_default=True,
     help="largest enumeration or amount of work a command may attempt",

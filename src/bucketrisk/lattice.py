@@ -11,14 +11,17 @@ search on chains and bottom-up minimal-node search correct.
 Safety depends only on each bucket's histogram, so the searches never
 materialize members. Each search groups the table once by raw
 quasi-identifier tuple (a row's values on the hierarchy's attributes)
-into sensitive-value tallies, the bottom node. Every evaluated node
-relabels those group keys, labelling each distinct raw value once per
-attribute, and sums the tallies of keys that meet (the rollup of Incognito,
-LeFevre, DeWitt and Ramakrishnan, SIGMOD 2005): O(groups) per node instead
-of O(rows). ``is_safe`` takes the resulting count tuples. ``apply`` is what
-builds buckets with members, and it labels rows with the same routine.
-``apply``, the bottom node and the rollup all group with the table module's
-one grouping routine.
+into sensitive-value tallies, the bottom node. A node is rolled up from a
+node below it by relabelling that node's group keys and summing the tallies
+of keys that meet (the rollup of Incognito, LeFevre, DeWitt and
+Ramakrishnan, SIGMOD 2005): O(groups) per node instead of O(rows).
+``all_minimal_safe`` rolls each node up from an evaluated child, relabelling
+one attribute; ``binary_search_chain`` rolls each node up from the bottom,
+labelling each distinct raw value once per attribute. ``is_safe`` takes the
+resulting count tuples. ``apply`` is what builds buckets with members, and
+it labels rows with the same routine as the bottom rollup. ``apply``, the
+bottom node and the rollups all group with the table module's one grouping
+routine.
 """
 
 from __future__ import annotations
@@ -244,6 +247,24 @@ def _bottom_tallies(table: Table, hierarchy: Hierarchy) -> Tallies:
     return tallies
 
 
+def _regroup(tallies: Tallies, keys: Iterable[tuple[str, ...]]) -> Tallies:
+    """Give each tally a new key, one per old key, and sum those that meet.
+
+    New keys come in the order of their first old key, so tallies grouped in
+    first-row order stay in first-row order.
+    """
+    rows = list(tallies.values())
+    return {
+        key: [sum(column) for column in zip(*(rows[i] for i in group))]
+        for key, group in _group_rows(keys).items()
+    }
+
+
+def _histograms(tallies: Tallies) -> list[tuple[int, ...]]:
+    """Each tally's positive counts, in descending order."""
+    return [tuple(sorted(filter(None, tally), reverse=True)) for tally in tallies.values()]
+
+
 def _rollup(
     bottom: Tallies, hierarchy: Hierarchy, node: Node
 ) -> list[tuple[int, ...]]:
@@ -252,12 +273,23 @@ def _rollup(
     Relabels the bottom node's keys and sums the tallies of keys that meet,
     in O(groups).
     """
-    tallies = list(bottom.values())
-    histograms = []
-    for group in _group_rows(map(_generalizer(hierarchy, node), bottom)).values():
-        counts = map(sum, zip(*(tallies[i] for i in group)))
-        histograms.append(tuple(sorted(filter(None, counts), reverse=True)))
-    return histograms
+    return _histograms(_regroup(bottom, map(_generalizer(hierarchy, node), bottom)))
+
+
+def _step(
+    hierarchy: Hierarchy, attribute: str, level: int, raws: Iterable[str]
+) -> dict[str, str]:
+    """Map ``attribute``'s labels at ``level - 1`` to its labels at ``level``.
+
+    Labels ``raws``, the attribute's distinct raw values in row order, at
+    both levels, so the first value that ``level`` lacks raises the error
+    its first row would; a label at ``level - 1``, such as "*", need not
+    name that value. Refinement makes the map well defined.
+    """
+    return {
+        hierarchy.label(attribute, level - 1, raw): hierarchy.label(attribute, level, raw)
+        for raw in raws
+    }
 
 
 def leq(finer: Bucketization, coarser: Bucketization) -> bool:
@@ -335,20 +367,45 @@ def all_minimal_safe(
     Sweeps the lattice bottom-up by total generalization height. A node
     dominating an already-found safe node is skipped: whatever its safety, it
     cannot be minimal. The result is an antichain, sorted by (height, vector).
-    Every evaluated node is rolled up from one grouping of the table, and
-    all of them share one engine session.
+    All evaluated nodes share one engine session.
+
+    The bottom node is one grouping of the table. Every other evaluated node
+    is rolled up from a child, the same node with one attribute a level
+    lower, so the search keeps the tallies of one height below only. Every
+    child of an evaluated node was itself evaluated: a skipped child
+    dominates a safe node, and so would its parent, which would have been
+    skipped too. Only the relabelled attribute can fail to label on a node
+    whose children all succeeded, so the search raises the error that
+    labelling the node's rows would.
     """
     size = hierarchy.size()
     if size > budget:
         raise BudgetExceededError(size, budget)
     order = sorted(hierarchy.nodes(), key=height_utility)
     minimal: list[Node] = []
-    bottom, engine = _bottom_tallies(table, hierarchy), Engine()
-    for node in order:
-        if any(all(n >= m for n, m in zip(node, found)) for found in minimal):
-            continue
-        if is_safe(_rollup(bottom, hierarchy, node), threshold, engine=engine):
-            minimal.append(node)
+    raws = [dict.fromkeys(column) for column in _qi_columns(table, hierarchy)]
+    engine = Engine()
+    below: dict[Node, Tallies] = {}  # the evaluated nodes one height down
+    for height, layer in itertools.groupby(order, key=sum):
+        evaluated: dict[Node, Tallies] = {}
+        for node in layer:
+            if any(all(n >= m for n, m in zip(node, found)) for found in minimal):
+                continue
+            if height == 0:
+                tallies = _bottom_tallies(table, hierarchy)
+            else:
+                # every child was evaluated; take the one a level lower in
+                # the first raised attribute
+                j = next(j for j, level in enumerate(node) if level)
+                child = below[(*node[:j], node[j] - 1, *node[j + 1 :])]
+                step = _step(hierarchy, hierarchy.attributes[j], node[j], raws[j])
+                tallies = _regroup(
+                    child, ((*key[:j], step[key[j]], *key[j + 1 :]) for key in child)
+                )
+            evaluated[node] = tallies
+            if is_safe(_histograms(tallies), threshold, engine=engine):
+                minimal.append(node)
+        below = evaluated
     return minimal
 
 

@@ -210,6 +210,25 @@ def test_oracle_budget_exit_code(runner):
     assert r.stderr == "error: enumeration size 12 exceeds budget 10\n"  # the oracle's wording
 
 
+NEGATIVE_BUDGET = {
+    "disclose": ["disclose", "--k", "0"],
+    "oracle": ["oracle", "--target", "Ed=Flu"],
+}
+
+
+@pytest.mark.parametrize("case", list(NEGATIVE_BUDGET))
+def test_negative_budget_is_a_usage_error(runner, case):
+    r = invoke(runner, *NEGATIVE_BUDGET[case], pre=["--budget", "-5"])
+    assert r.exit_code == 2
+    assert "Invalid value for '--budget'" in r.stderr
+    assert "exceeds budget" not in r.stderr
+    assert "Traceback" not in r.output
+    assert r.exception is None or isinstance(r.exception, SystemExit)
+    r = invoke(runner, *NEGATIVE_BUDGET[case], pre=["--budget", "0"])
+    assert r.exit_code == 3  # zero stays a budget, one that refuses any work
+    assert "exceeds budget 0" in r.stderr
+
+
 def test_oracle_with_extra_domain(runner, tmp_path):
     extra = tmp_path / "domain.txt"
     extra.write_text("Plague\n")

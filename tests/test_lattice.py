@@ -2,6 +2,7 @@ import io
 import json
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -335,6 +336,32 @@ def test_rollup_equals_apply(seed):
                 assert is_safe(applied, threshold) == expected
 
 
+@given(
+    seed=st.integers(min_value=0, max_value=10_000),
+    k=st.integers(min_value=0, max_value=2),
+    c=st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(2, 3), Fraction(1)]),
+)
+@settings(max_examples=60, deadline=None)
+def test_search_rolls_up_from_a_child_like_from_the_bottom(seed, k, c):
+    # c = 0 evaluates every node; c = 1 finds safe nodes and skips above them
+    table, hierarchy = random_table_and_hierarchy(random.Random(seed))
+    threshold = SafetyThreshold(c, k)
+    with mock.patch.object(lattice_module, "is_safe", wraps=is_safe) as spy:
+        got = all_minimal_safe(table, hierarchy, threshold)
+    assert got == exhaustive_minimal(table, hierarchy, threshold)
+    # the search evaluates every node but those strictly above a minimal one
+    evaluated = [
+        node
+        for node in sorted(hierarchy.nodes(), key=height_utility)
+        if not any(m != node and all(x >= y for x, y in zip(node, m)) for m in got)
+    ]
+    bottom = lattice_module._bottom_tallies(table, hierarchy)
+    expected = [lattice_module._rollup(bottom, hierarchy, node) for node in evaluated]
+    assert [call.args[0] for call in spy.call_args_list] == expected  # same order, too
+    if c == 0:
+        assert len(evaluated) == hierarchy.size()
+
+
 def missing_value_fixture():
     # record p0 fails on B and record p1 on A, so record order picks B
     table = load_table(
@@ -352,14 +379,28 @@ def missing_value_fixture():
 SEARCH_ERRORS = {
     "missing-value": "attribute 'B': value 'bX' missing from level 1",
     "missing-attribute": "hierarchy attribute 'Nope' not in table",
+    # a map above a level whose labels no longer name the raw value 'aX'
+    "map-above-identity": "attribute 'A': value 'aX' missing from level 2",
+    "map-above-suppress": "attribute 'A': value 'aX' missing from level 2",
+}
+
+SEARCH_ERROR_HIERARCHIES = {
+    "missing-attribute": Hierarchy(
+        ("A", "Nope"), {"A": ("suppress",), "Nope": ("suppress",)}
+    ),
+    "map-above-identity": Hierarchy(
+        ("A", "B"), {"A": ("identity", {"a1": "g", "a2": "g"}), "B": ("suppress",)}
+    ),
+    "map-above-suppress": Hierarchy(
+        ("A", "B"), {"A": ("suppress", {"a1": "g", "a2": "g"}), "B": ("suppress",)}
+    ),
 }
 
 
 @pytest.mark.parametrize("case", list(SEARCH_ERRORS))
 def test_search_errors_match_apply(case):
     table, hierarchy = missing_value_fixture()
-    if case == "missing-attribute":
-        hierarchy = Hierarchy(("A", "Nope"), {"A": ("suppress",), "Nope": ("suppress",)})
+    hierarchy = SEARCH_ERROR_HIERARCHIES.get(case, hierarchy)
     never_safe = SafetyThreshold(Fraction(0), 1)  # no pruning: every node is evaluated
 
     def first_error(nodes):
