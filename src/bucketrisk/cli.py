@@ -25,7 +25,7 @@ from .curves import (
     emit_csv,
     entropy_vs_disclosure,
 )
-from .engine import max_disclosure, max_disclosure_negated_atoms
+from .engine import disclosure_at, max_disclosure, max_disclosure_negated_atoms
 from .errors import BucketRiskError, BudgetExceededError, ValidationError
 from .knowledge import Knowledge, format_knowledge, parse_atom, parse_knowledge
 from .lattice import (
@@ -36,7 +36,15 @@ from .lattice import (
     select_by_utility,
 )
 from .oracle import DEFAULT_BUDGET, exact_posterior
-from .table import Table, load_table, partition, read_assignment, read_domain
+from .table import (
+    Table,
+    buckets_at,
+    histograms,
+    load_table,
+    partition,
+    read_assignment,
+    read_domain,
+)
 
 
 def _fmt(value: Fraction) -> str:
@@ -107,15 +115,14 @@ def _load_table(obj) -> Table:
     )
 
 
-def _bucketize(obj, table: Table, group_by: str | None):
+def _grouping(obj, group_by: str | None) -> dict:
+    """The ``assignment=`` or ``by=`` argument that --partition or --group-by selects."""
     if obj["partition_path"] and group_by:
         raise ValidationError("use either --partition or --group-by, not both")
     if obj["partition_path"]:
-        return partition(table, assignment=read_assignment(obj["partition_path"]))
-    if group_by:
-        columns = tuple(c.strip() for c in group_by.split(",") if c.strip())
-        return partition(table, by=columns)
-    return partition(table, by=())
+        return {"assignment": read_assignment(obj["partition_path"])}
+    columns = tuple(c.strip() for c in group_by.split(",") if c.strip()) if group_by else ()
+    return {"by": columns}
 
 
 def _check_work(obj, work: int, what: str) -> None:
@@ -151,22 +158,27 @@ def _emit_points(obj, points) -> None:
 @handles_errors
 def disclose(obj, k, knowledge_class, witness, group_by):
     """Worst-case posterior any attacker with k knowledge units can reach."""
-    bucketization = _bucketize(obj, _load_table(obj), group_by)
+    table = _load_table(obj)
+    grouping = _grouping(obj, group_by)
+    counts = histograms(table, **grouping)
     lines = []
     if knowledge_class == "negations":
         if witness:
             raise ValidationError("--witness requires --class implications")
-        value = max_disclosure_negated_atoms(bucketization, k)
+        value = max_disclosure_negated_atoms(counts, k)
         lines.append(f"disclosure: {_fmt(value)}")
     else:
         # across-bucket cells, plus within-bucket states per distinct histogram
         side = max(k, 0) + 1
-        sizes = {b.counts: b.size for b in bucketization.buckets}
-        states = sum(min(n, side) for n in sizes.values())
-        _check_work(obj, (len(bucketization.buckets) + states) * side * side, "DP cell count")
-        report = max_disclosure(bucketization, k)
-        lines.append(f"disclosure: {_fmt(report.disclosure)}")
-        if witness:
+        states = sum(min(sum(c), side) for c in set(counts))
+        _check_work(obj, (len(counts) + states) * side * side, "DP cell count")
+        if not witness:
+            lines.append(f"disclosure: {_fmt(disclosure_at(counts, k))}")
+        else:
+            # members only for the buckets the witness names
+            build = functools.partial(buckets_at, table, **grouping)
+            report = max_disclosure(counts, k, build)
+            lines.append(f"disclosure: {_fmt(report.disclosure)}")
             lines.append(f"target: {report.target}")
             if report.implications:
                 lines.append("knowledge:")
@@ -188,7 +200,7 @@ def disclose(obj, k, knowledge_class, witness, group_by):
 def oracle(obj, knowledge_path, target, group_by):
     """Exact posterior of one atom given explicit knowledge, by enumeration."""
     table = _load_table(obj)
-    bucketization = _bucketize(obj, table, group_by)
+    bucketization = partition(table, **_grouping(obj, group_by))
     knowledge = Knowledge()
     if knowledge_path:
         knowledge = parse_knowledge(Path(knowledge_path).read_text(encoding="utf-8"), table)
@@ -303,8 +315,7 @@ def curve_k(obj, k_max, group_by, sample, seed):
         columns = tuple(map(pick, table.columns))
         table = Table(table.attributes, table.sensitive_attribute, pick(table.person_ids),
                       columns, pick(table.sensitive), table.domain)
-    bucketization = _bucketize(obj, table, group_by)
-    _emit_points(obj, disclosure_vs_k(bucketization, k_max))
+    _emit_points(obj, disclosure_vs_k(histograms(table, **_grouping(obj, group_by)), k_max))
 
 
 @main.command("curve-entropy")

@@ -16,9 +16,9 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Sequence, Union
 
-from .engine import disclosure_by_k
+from .engine import Histograms, disclosure_by_k
 from .errors import ValidationError
-from .table import Bucketization, Source, _csv_reader, entropy
+from .table import Source, _csv_reader, entropy
 
 
 @dataclass(frozen=True)
@@ -28,9 +28,12 @@ class CurvePoint:
     value: Fraction
 
 
-def disclosure_vs_k(bucketization: Bucketization, k_max: int) -> list[CurvePoint]:
-    """Worst-case disclosure for k = 0..k_max, for both knowledge classes."""
-    implications, negations = disclosure_by_k(bucketization, k_max)
+def disclosure_vs_k(histograms: Histograms, k_max: int) -> list[CurvePoint]:
+    """Worst-case disclosure for k = 0..k_max, for both knowledge classes.
+
+    ``histograms`` is a bucketization or its count tuples.
+    """
+    implications, negations = disclosure_by_k(histograms, k_max)
     points = [CurvePoint("implications", k, v) for k, v in enumerate(implications)]
     points += [CurvePoint("negations", k, v) for k, v in enumerate(negations)]
     return points

@@ -20,8 +20,10 @@ Two memoized dynamic programs do that:
 
 One across-bucket sweep at k fills a row whose entry h is the answer for h
 atoms, so it serves every h <= k. Three public readers share it:
-``max_disclosure`` reads entry k and backtracks a witness, ``disclosure_by_k``
-the whole row and ``disclosure_at`` entry k alone. With d_min the fewest
+``max_disclosure`` reads entry k and backtracks a witness, whose persons
+come from the at most k + 1 buckets it names, ``disclosure_by_k`` the whole
+row and ``disclosure_at`` entry k alone. All three take count tuples, so a
+caller need not build buckets for them. With d_min the fewest
 distinct values in any bucket, both knowledge classes disclose exactly 1 from
 k = d_min - 1 on, so the last two sweep at most to d_min - 1 and give 1 past it.
 
@@ -53,7 +55,7 @@ from __future__ import annotations
 from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .errors import ValidationError
 from .knowledge import Atom, BasicImplication, simple_implication
@@ -525,25 +527,42 @@ def _partition_atoms(
 
 
 def max_disclosure(
-    bucketization: Bucketization, k: int, *, engine: Engine | None = None
+    histograms: Histograms,
+    k: int,
+    buckets: Callable[[Sequence[int]], Sequence[Bucket]] | None = None,
+    *,
+    engine: Engine | None = None,
 ) -> DisclosureReport:
-    """Worst-case posterior over conjunctions of k implications, with witness."""
-    engine = _session(engine)
-    ratio, placement = minimize_across_buckets(bucketization, k, engine=engine)
-    disclosure = 1 / (1 + ratio)
-    buckets = bucketization.buckets
-    target_bucket = buckets[placement.target_bucket]
-    target = Atom(target_bucket.members[0], target_bucket.histogram[0][0])
+    """Worst-case posterior over conjunctions of k implications, with witness.
 
+    ``histograms`` is a bucketization or its count tuples. The optimum reads
+    only the counts; the witness names persons of the at most k + 1 buckets
+    its placement uses. ``buckets`` builds those from their indices, in the
+    order given, each with its count tuple's histogram (for example
+    ``table.buckets_at``); a bucketization supplies its own.
+    """
+    if isinstance(histograms, Bucketization):
+        own = histograms.buckets
+        buckets = lambda indices: [own[i] for i in indices]
+    histograms = _checked_counts(histograms, k)[0]
+    if buckets is None:
+        raise ValidationError("count tuples need buckets= to build a witness")
+    engine = _session(engine)
+    ratio, placement = minimize_across_buckets(histograms, k, engine=engine)
+    disclosure = 1 / (1 + ratio)
+    # atom slots per bucket, the target's slot included
+    slots = list(placement.atom_counts)
+    slots[placement.target_bucket] += 1
+    named = [i for i, c in enumerate(slots) if c]
     antecedents: list[Atom] = []
-    for i, b in enumerate(buckets):
-        budget = placement.atom_counts[i]
-        if i == placement.target_bucket:
-            parts = engine.table(b.counts).best_partition(budget + 1)
-            antecedents.extend(_partition_atoms(b, parts, skip_first=True))
-        elif budget:
-            parts = engine.table(b.counts).best_partition(budget)
-            antecedents.extend(_partition_atoms(b, parts, skip_first=False))
+    for i, b in zip(named, buckets(named), strict=True):
+        if b.counts != histograms[i]:
+            raise ValidationError(f"bucket {b.bucket_id!r} does not match histogram {i}")
+        here = i == placement.target_bucket
+        if here:
+            target = Atom(b.members[0], b.histogram[0][0])
+        parts = engine.table(histograms[i]).best_partition(slots[i])
+        antecedents.extend(_partition_atoms(b, parts, skip_first=here))
 
     implications = [simple_implication(a, target) for a in antecedents]
     while len(implications) < k:
@@ -551,14 +570,12 @@ def max_disclosure(
         implications.append(
             implications[0] if implications else simple_implication(target, target)
         )
-    counts = list(placement.atom_counts)
-    counts[placement.target_bucket] += 1
     return DisclosureReport(
         disclosure=disclosure,
         ratio=ratio,
         target=target,
         antecedents=tuple(i.antecedents[0] for i in implications),
-        bucket_atom_counts=tuple(counts),
+        bucket_atom_counts=tuple(slots),
         implications=tuple(implications),
     )
 

@@ -10,6 +10,12 @@ list and the multiset of sensitive values (the assignment within the bucket
 stays hidden). Everything downstream (the exact oracle, the polynomial
 engine, the generalization search) consumes the types defined here.
 
+The polynomial engine reads only each bucket's histogram, so
+``histograms`` tallies a grouping's count tuples without building buckets,
+and ``buckets_at`` builds members only for the few buckets a witness names.
+``load_table`` reads the CSV in chunks and keeps one string object per
+distinct value of every non-id column.
+
 All types are immutable after construction and safe to share across threads.
 """
 
@@ -21,6 +27,7 @@ import io
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 from pathlib import Path
 from typing import ContextManager, Hashable, Iterable, Iterator, Mapping, Sequence, TextIO, Union
 
@@ -83,13 +90,16 @@ class Table:
             len(column) != n for column in (*self.columns, self.sensitive)
         ):
             raise ValidationError("columns are not aligned with the person ids")
-        seen: set[str] = set()
-        for person_id in self.person_ids:
-            if not person_id:
-                raise ValidationError("empty person id")
-            if person_id in seen:
-                raise ValidationError(f"duplicate person id {person_id!r}")
-            seen.add(person_id)
+        unique = set(self.person_ids)
+        if len(unique) != n or "" in unique:
+            # walk the rows only on failure, to name the first offender
+            seen: set[str] = set()
+            for person_id in self.person_ids:
+                if not person_id:
+                    raise ValidationError("empty person id")
+                if person_id in seen:
+                    raise ValidationError(f"duplicate person id {person_id!r}")
+                seen.add(person_id)
         if not self.domain:
             raise ValidationError("sensitive domain is empty")
         observed = set(self.sensitive)
@@ -145,6 +155,12 @@ class Bucket:
         return self.histogram[j][0] if j < len(self.histogram) else None
 
 
+def _ranked(tally: Mapping[str, int]) -> list[str]:
+    """A tally's values in histogram order: count descending, then value ascending."""
+    # sorted() is stable, so the value order survives among equal counts
+    return sorted(sorted(tally), key=tally.__getitem__, reverse=True)
+
+
 def make_bucket(bucket_id: str, members: Sequence[str], values: Sequence[str]) -> Bucket:
     """Build a bucket from parallel member/value sequences, sorting the histogram."""
     if len(members) != len(values):
@@ -152,7 +168,8 @@ def make_bucket(bucket_id: str, members: Sequence[str], values: Sequence[str]) -
     tally: dict[str, int] = {}
     for v in values:
         tally[v] = tally.get(v, 0) + 1
-    histogram = tuple(sorted(tally.items(), key=lambda kv: (-kv[1], kv[0])))
+    order = _ranked(tally)
+    histogram = tuple(zip(order, map(tally.__getitem__, order)))
     return Bucket(bucket_id=bucket_id, members=tuple(members), histogram=histogram)
 
 
@@ -206,6 +223,19 @@ class Bucketization:
 # Loading and partitioning
 # ============================================================================
 
+# rows held at once by load_table: larger chunks raise the load's peak
+# memory (2.3 MB at 1024 rows, 3.9 MB at 4096 on a 16.5k-row table) and
+# save no time
+_CHUNK_ROWS = 1024
+
+
+def _check_widths(rows: Sequence[list[str]], width: int, start: int) -> None:
+    """Raise for the first row without ``width`` fields; rows[0] is data row ``start``."""
+    for i, row in enumerate(rows, start):
+        if len(row) != width:
+            raise ValidationError(f"row {i}: expected {width} fields, got {len(row)}")
+
+
 def load_table(
     source: Source,
     sensitive: str,
@@ -229,21 +259,36 @@ def load_table(
             raise ValidationError(f"missing sensitive column {sensitive!r}")
         if id_column is not None and id_column not in header:
             raise ValidationError(f"missing id column {id_column!r}")
-        rows = []
-        for i, row in enumerate(reader):
-            if len(row) != len(header):
-                raise ValidationError(
-                    f"row {i}: expected {len(header)} fields, got {len(row)}"
-                )
-            rows.append(row)
-        if not rows:
+        # a repeated header name reads its last column
+        position = {name: j for j, name in enumerate(header)}
+        columns: dict[str, list[str]] = {name: [] for name in position}
+        # equal values of a non-id column become one string object
+        memos = {name: {} for name in position if name != id_column}
+        count = 0
+        rows: list[list[str]] = []
+        while True:
+            try:
+                rows.extend(islice(reader, _CHUNK_ROWS))
+            finally:
+                # also on csv.Error: a wrong-width row before a malformed line
+                # is reported first
+                _check_widths(rows, len(header), count)
+            if not rows:
+                break
+            count += len(rows)
+            fields = list(zip(*rows))
+            for name, j in position.items():
+                memo = memos.get(name)
+                values = fields[j] if memo is None else map(memo.setdefault, fields[j], fields[j])
+                columns[name].extend(values)
+            rows.clear()
+        if not count:
             raise ValidationError("empty input: no data rows")
-    # a repeated header name reads its last column
-    by_name = dict(zip(header, zip(*rows)))
+    by_name = {name: tuple(columns.pop(name)) for name in position}
     attributes = tuple(h for h in header if h != sensitive and h != id_column)
     values = by_name[sensitive]
     if id_column is None:
-        person_ids = tuple(map(str, range(len(rows))))
+        person_ids = tuple(map(str, range(count)))
     else:
         person_ids = by_name[id_column]
     return Table(
@@ -280,6 +325,27 @@ def read_domain(source: Source) -> tuple[str, ...]:
         return tuple(v.strip() for v in stream if v.strip())
 
 
+def _keys(
+    table: Table, assignment: Mapping[str, str] | None, by: Sequence[str] | None
+) -> Iterable[tuple[str, ...]]:
+    """One grouping key per row, in row order, once ``partition``'s checks pass."""
+    if (assignment is None) == (by is None):
+        raise ValidationError("specify exactly one of assignment= or by=")
+    if assignment is not None:
+        missing = [p for p in table.person_ids if p not in assignment]
+        if missing:
+            raise ValidationError(f"assignment missing person(s) {missing}")
+        extra = set(assignment) - set(table.person_ids)
+        if extra:
+            raise ValidationError(f"assignment names unknown person(s) {sorted(extra)}")
+        return [(assignment[p],) for p in table.person_ids]
+    unknown = [a for a in by if a not in table.attributes]
+    if unknown:
+        raise ValidationError(f"cannot group by unknown attribute(s) {unknown}")
+    columns = [table.columns[table.attributes.index(a)] for a in by]
+    return zip(*columns) if by else [("all",)] * len(table.person_ids)
+
+
 def partition(
     table: Table,
     assignment: Mapping[str, str] | None = None,
@@ -295,21 +361,43 @@ def partition(
     Group-by ids join the attribute values with "|"; when two distinct value
     tuples join to the same text, the later bucket's id gets "+" appended.
     """
-    if (assignment is None) == (by is None):
-        raise ValidationError("specify exactly one of assignment= or by=")
-    if assignment is not None:
-        missing = [p for p in table.person_ids if p not in assignment]
-        if missing:
-            raise ValidationError(f"assignment missing person(s) {missing}")
-        extra = set(assignment) - set(table.person_ids)
-        if extra:
-            raise ValidationError(f"assignment names unknown person(s) {sorted(extra)}")
-        return _bucketize(table, [(assignment[p],) for p in table.person_ids])
-    unknown = [a for a in by if a not in table.attributes]
-    if unknown:
-        raise ValidationError(f"cannot group by unknown attribute(s) {unknown}")
-    columns = [table.columns[table.attributes.index(a)] for a in by]
-    return _bucketize(table, zip(*columns) if by else [("all",)] * len(table.person_ids))
+    return _bucketize(table, _keys(table, assignment, by))
+
+
+def histograms(
+    table: Table,
+    assignment: Mapping[str, str] | None = None,
+    by: Sequence[str] | None = None,
+) -> list[tuple[int, ...]]:
+    """The count tuples of ``partition(table, assignment, by)``'s buckets, in order.
+
+    Each tuple is descending. ``partition``'s checks run, in its order, but
+    no bucket is built: one pass tallies the sensitive values of each key.
+    """
+    tallies: dict[tuple[str, ...], dict[str, int]] = {}
+    for key, value in zip(_keys(table, assignment, by), table.sensitive):
+        tally = tallies.get(key)
+        if tally is None:
+            tally = tallies[key] = {}
+        tally[value] = tally.get(value, 0) + 1
+    return [tuple(map(tally.__getitem__, _ranked(tally))) for tally in tallies.values()]
+
+
+def buckets_at(
+    table: Table,
+    indices: Iterable[int],
+    assignment: Mapping[str, str] | None = None,
+    by: Sequence[str] | None = None,
+) -> list[Bucket]:
+    """The buckets of ``partition(table, assignment, by)`` at these indices.
+
+    Buckets come in the order of ``indices``, equal to partition's, and no
+    other bucket is built. This is how a witness names persons when the
+    engine ran on ``histograms``.
+    """
+    indices = list(indices)
+    built = _buckets(table, _keys(table, assignment, by), set(indices))
+    return [built[i] for i in indices]
 
 
 def _group_rows(keys: Iterable[Hashable]) -> dict[Hashable, list[int]]:
@@ -323,24 +411,33 @@ def _group_rows(keys: Iterable[Hashable]) -> dict[Hashable, list[int]]:
     return groups
 
 
-def _bucketize(table: Table, keys: Iterable[tuple[str, ...]]) -> Bucketization:
+def _buckets(
+    table: Table, keys: Iterable[tuple[str, ...]], wanted: set[int] | None = None
+) -> dict[int, Bucket]:
     """Bucket the table's rows by a tuple key per row, one bucket per key.
 
-    Buckets and their members follow row order. A bucket is named by
-    joining its key with "|", and a name already taken by another key gets
-    "+" appended until it is unique, so distinct keys never share a bucket.
+    Returns each bucket by its index, or only the ``wanted`` ones. Buckets
+    and their members follow row order. A bucket is named by joining its key
+    with "|", and a name already taken by another key gets "+" appended
+    until it is unique, so distinct keys never share a bucket.
     """
     person_ids, values = table.person_ids, table.sensitive
     used: set[str] = set()
-    buckets = []
-    for key, rows in _group_rows(keys).items():
+    buckets = {}
+    for index, (key, rows) in enumerate(_group_rows(keys).items()):
         bucket_id = "|".join(key)
         while bucket_id in used:
             bucket_id += "+"
         used.add(bucket_id)
-        members = [person_ids[i] for i in rows]
-        buckets.append(make_bucket(bucket_id, members, [values[i] for i in rows]))
-    return Bucketization(buckets=tuple(buckets), domain=table.domain)
+        if wanted is None or index in wanted:
+            members = [person_ids[i] for i in rows]
+            buckets[index] = make_bucket(bucket_id, members, [values[i] for i in rows])
+    return buckets
+
+
+def _bucketize(table: Table, keys: Iterable[tuple[str, ...]]) -> Bucketization:
+    """Every bucket of ``_buckets``, as a bucketization."""
+    return Bucketization(buckets=tuple(_buckets(table, keys).values()), domain=table.domain)
 
 
 def entropy(counts: Sequence[int]) -> float:

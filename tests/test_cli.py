@@ -1,11 +1,28 @@
+import io
+import random
 from fractions import Fraction
 
 import pytest
 from click.testing import CliRunner
 
-from bucketrisk import Engine, disclosure_by_k, read_csv
+from bucketrisk import (
+    Engine,
+    Table,
+    ValidationError,
+    disclosure_by_k,
+    disclosure_vs_k,
+    dump_table,
+    emit_csv,
+    load_table,
+    max_disclosure,
+    max_disclosure_negated_atoms,
+    partition,
+    read_assignment,
+    read_csv,
+)
 from bucketrisk.cli import main
 from conftest import DATA
+from helpers import random_table_and_hierarchy
 
 TABLE_ARGS = ["--table", str(DATA / "clinic.csv"), "--sensitive", "Disease", "--id", "Name"]
 
@@ -410,3 +427,94 @@ def test_work_refusal_names_what_it_counted(runner, case):
     r = runner.invoke(main, HUGE[case])
     assert r.exit_code == 3
     assert r.stderr == f"error: {REFUSALS[case]} exceeds budget 10000000\n"
+
+
+def _fmt(value):
+    return f"{value.numerator}/{value.denominator} ({float(value)!r})"
+
+
+def _reference(table, grouping, argv):
+    """Exit code, stdout and stderr of a disclose or curve-k command, rendered
+    from ``max_disclosure``, ``max_disclosure_negated_atoms`` or
+    ``disclosure_vs_k`` on ``partition``'s bucketization."""
+    try:
+        if argv[0] == "curve-k":
+            opts = dict(zip(argv[1::2], argv[2::2]))
+            if "--sample" in opts:
+                n = len(table.person_ids)
+                rows = random.Random(int(opts["--seed"])).sample(
+                    range(n), max(1, round(float(opts["--sample"]) * n))
+                )
+                pick = lambda column: tuple(column[i] for i in rows)
+                table = Table(table.attributes, table.sensitive_attribute,
+                              pick(table.person_ids), tuple(map(pick, table.columns)),
+                              pick(table.sensitive), table.domain)
+            out = io.StringIO()
+            emit_csv(disclosure_vs_k(partition(table, **grouping()), int(opts["--k-max"])), out)
+            return 0, out.getvalue(), ""
+        b13n = partition(table, **grouping())
+        k = int(argv[2])
+        if "negations" in argv:
+            if "--witness" in argv:
+                raise ValidationError("--witness requires --class implications")
+            return 0, f"disclosure: {_fmt(max_disclosure_negated_atoms(b13n, k))}\n", ""
+        report = max_disclosure(b13n, k)
+        lines = [f"disclosure: {_fmt(report.disclosure)}"]
+        if "--witness" in argv:
+            lines.append(f"target: {report.target}")
+            if report.implications:
+                lines += ["knowledge:", *map(str, report.implications)]
+        return 0, "".join(line + "\n" for line in lines), ""
+    except ValidationError as exc:
+        return 2, "", f"error: {exc}\n"
+
+
+def _equivalence_cases(rng, partition_path, attributes):
+    """Random disclose and curve-k commands over every grouping option."""
+    groupings = {
+        "partition": (["--partition", str(partition_path)], [],
+                      lambda: {"assignment": read_assignment(partition_path)}),
+        "neither": ([], [], lambda: {"by": ()}),
+        "both": (["--partition", str(partition_path)], ["--group-by", attributes[0]], None),
+    }
+    by = rng.sample(attributes, rng.randint(1, len(attributes)))
+    by_names = [*by, "NoSuch"] if rng.random() < 0.1 else by
+    groupings["group-by"] = ([], ["--group-by", ",".join(by_names)], lambda: {"by": by_names})
+    for pre, group, grouping in groupings.values():
+        if grouping is None:
+            def grouping():
+                raise ValidationError("use either --partition or --group-by, not both")
+        k = str(rng.randint(0, 4))
+        for extra in ([], ["--witness"], ["--class", "negations"],
+                      ["--class", "negations", "--witness"]):
+            yield pre, ["disclose", "--k", k, *extra, *group], grouping
+        yield pre, ["curve-k", "--k-max", k, *group], grouping
+        seed = str(rng.randint(0, 99))
+        yield pre, ["curve-k", "--k-max", k, "--sample", "0.6", "--seed", seed, *group], grouping
+
+
+def _check_equivalence(runner, rng, table_args, table, partition_path):
+    for pre, argv, grouping in _equivalence_cases(rng, partition_path, list(table.attributes)):
+        r = runner.invoke(main, [*table_args, *pre, *argv])
+        assert (r.exit_code, r.stdout, r.stderr) == _reference(table, grouping, argv), argv
+
+
+def test_histogram_commands_match_partition_rendering_on_the_clinic(runner, demo_table):
+    rng = random.Random(12)
+    for _ in range(8):
+        _check_equivalence(runner, rng, TABLE_ARGS, demo_table,
+                           DATA / "clinic-partition.tsv")
+
+
+def test_histogram_commands_match_partition_rendering_on_random_tables(runner, tmp_path):
+    rng = random.Random(7)
+    for _ in range(25):
+        table, _ = random_table_and_hierarchy(rng, max_tuples=15)
+        (tmp_path / "t.csv").write_text(dump_table(table), encoding="utf-8")
+        # labels with "|", on lines that end in LF or CRLF
+        lines = [f"{p}\t{rng.choice(['x', 'y|z', 'x|y'])}" for p in table.person_ids]
+        ends = [rng.choice(["\n", "\r\n"]) for _ in lines]
+        (tmp_path / "p.tsv").write_bytes("".join(map(str.__add__, lines, ends)).encode())
+        args = ["--table", str(tmp_path / "t.csv"), "--sensitive", "S", "--id", "id"]
+        loaded = load_table(tmp_path / "t.csv", "S", id_column="id")
+        _check_equivalence(runner, rng, args, loaded, tmp_path / "p.tsv")

@@ -1,4 +1,5 @@
 import contextvars
+import functools
 import importlib
 import inspect
 import pkgutil
@@ -20,9 +21,11 @@ from bucketrisk import (
     ValidationError,
     all_minimal_safe,
     avoidance_probability,
+    buckets_at,
     disclosure_at,
     disclosure_by_k,
     exact_posterior,
+    histograms,
     knowledge_probability,
     load_hierarchy,
     make_bucket,
@@ -31,13 +34,14 @@ from bucketrisk import (
     minimize_across_buckets,
     minimize_within_bucket,
     negation_as_implication,
+    partition,
     simple_implication,
 )
 import bucketrisk
 from bucketrisk import engine as engine_module
 from bucketrisk.oracle import NEGATED_ATOMS, brute_force_max_disclosure
 from conftest import DATA
-from helpers import bucketization_from_counts, random_bucketization
+from helpers import bucketization_from_counts, random_bucketization, random_table_and_hierarchy
 
 
 def bucket_from_counts(counts):
@@ -508,6 +512,7 @@ def test_count_tuples_and_bucketization_agree(histograms, k):
 def test_count_tuple_entry_points_keep_their_errors():
     calls = (
         (minimize_across_buckets, "k"),
+        (functools.partial(max_disclosure, buckets=list), "k"),
         (max_disclosure_negated_atoms, "k"),
         (disclosure_by_k, "k_max"),
         (disclosure_at, "k"),
@@ -574,3 +579,32 @@ def test_no_module_but_the_engine_holds_its_private_functions():
         if id(value) in private
     ]
     assert private and held == []
+
+
+@given(seed=st.integers(min_value=0, max_value=10_000), k=st.integers(0, 4))
+@settings(max_examples=60, deadline=None)
+def test_witness_from_histograms_builds_partition_buckets(seed, k):
+    rng = random.Random(seed)
+    table, _ = random_table_and_hierarchy(rng)
+    by = rng.sample(table.attributes, rng.randint(0, len(table.attributes)))
+    expected = partition(table, by=by)
+    built = []
+
+    def build(indices):
+        buckets = buckets_at(table, indices, by=by)
+        built.extend(zip(indices, buckets))
+        return buckets
+
+    report = max_disclosure(histograms(table, by=by), k, build)
+    assert report == max_disclosure(expected, k)
+    assert 1 <= len(built) <= k + 1
+    assert all(bucket == expected.buckets[i] for i, bucket in built)
+
+
+def test_witness_from_count_tuples_needs_matching_buckets(demo_bucketization):
+    counts = [b.counts for b in demo_bucketization.buckets]
+    with pytest.raises(ValidationError, match="^count tuples need buckets= to build a witness$"):
+        max_disclosure(counts, 1)
+    swapped = lambda indices: [demo_bucketization.buckets[1 - i] for i in indices]
+    with pytest.raises(ValidationError, match="^bucket 'F' does not match histogram 0$"):
+        max_disclosure(counts, 1, swapped)

@@ -1,6 +1,7 @@
 import io
 import math
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -8,8 +9,11 @@ from hypothesis import given, settings, strategies as st
 
 from bucketrisk import (
     Bucketization,
+    Table,
     ValidationError,
+    buckets_at,
     dump_table,
+    histograms,
     load_table,
     make_bucket,
     min_bucket_entropy,
@@ -17,6 +21,7 @@ from bucketrisk import (
     read_assignment,
     read_domain,
 )
+from bucketrisk.table import _CHUNK_ROWS
 from conftest import DATA
 from helpers import random_table_and_hierarchy
 
@@ -88,6 +93,67 @@ def test_load_table_errors():
         load_table(io.StringIO(""), "S")
     with pytest.raises(ValidationError):
         load_table(io.StringIO("S,X\nv\n"), "S")  # short row
+
+
+@pytest.mark.parametrize(
+    "ids, message",
+    [
+        (("a", ""), "empty person id"),
+        (("a", "", "b", "b"), "empty person id"),
+        (("a", "b", "b", ""), "duplicate person id 'b'"),
+        (("a", "b", "c", "b", "a"), "duplicate person id 'b'"),
+        (("a", "b", "a", "b"), "duplicate person id 'a'"),
+    ],
+)
+def test_person_id_errors_name_the_first_offender(ids, message):
+    column = ("x",) * len(ids)
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        Table(("A",), "S", ids, (column,), column, ("x",))
+
+
+def _chunked_csv(rows: int, bad: dict[int, str] = {}) -> io.StringIO:
+    """An ``Id,A,S`` table of ``rows`` rows, with some data rows replaced."""
+    lines = [bad.get(i, f"p{i},block {i % 7},value {i % 3}") for i in range(rows)]
+    return io.StringIO("Id,A,S\n" + "\n".join(lines) + "\n")
+
+
+def test_load_reports_the_global_row_past_the_first_chunk():
+    row = 2 * _CHUNK_ROWS + 5
+    with pytest.raises(ValidationError, match=f"^row {row}: expected 3 fields, got 2$"):
+        load_table(_chunked_csv(3 * _CHUNK_ROWS, {row: "p,x"}), "S", id_column="Id")
+
+
+@pytest.mark.parametrize("short", [3, _CHUNK_ROWS + 3])
+def test_load_reports_a_short_row_before_a_later_malformed_one(short):
+    # the over-long field sits later in the same chunk as the short row
+    bad = {short: "p,x", short + 4: f"q,y,{'z' * 200_000}"}
+    with pytest.raises(ValidationError, match=f"^row {short}: expected 3 fields, got 2$"):
+        load_table(_chunked_csv(3 * _CHUNK_ROWS, bad), "S", id_column="Id")
+    del bad[short]
+    with pytest.raises(ValidationError, match="^malformed CSV at line"):
+        load_table(_chunked_csv(3 * _CHUNK_ROWS, bad), "S", id_column="Id")
+
+
+def test_load_across_chunks():
+    rows = 2 * _CHUNK_ROWS + 7
+    t = load_table(_chunked_csv(rows), "S")
+    assert t.person_ids == tuple(map(str, range(rows)))
+    assert t.attributes == ("Id", "A")
+    # equal values of a non-id column are one object, also across chunks
+    later = 21 * (_CHUNK_ROWS // 21 + 1)
+    assert t.columns[1][later] == "block 0" and t.columns[1][later] is t.columns[1][0]
+    assert t.sensitive[later] == "value 0" and t.sensitive[later] is t.sensitive[0]
+    keyed = load_table(_chunked_csv(rows), "S", id_column="Id")
+    assert keyed.person_ids == tuple(f"p{i}" for i in range(rows))
+    assert load_table(io.StringIO(dump_table(keyed)), "S", id_column="id") == keyed
+
+
+def test_repeated_header_name_reads_its_last_column():
+    text = "A,S,A\n" + "".join(f"a{i},s,b{i % 5}\n" for i in range(_CHUNK_ROWS + 2))
+    t = load_table(io.StringIO(text), "S")
+    assert t.attributes == ("A", "A")
+    expected = tuple(f"b{i % 5}" for i in range(_CHUNK_ROWS + 2))
+    assert t.columns == (expected, expected)
 
 
 def test_partition_modes(demo_table):
@@ -216,3 +282,54 @@ def test_histogram_sorted_and_covering(values):
         if c1 == c2:
             assert v1 < v2
     assert {v for v, _ in b.histogram} == set(values)
+
+
+def _groupings(rng, table):
+    """Both grouping modes of a table: a random ``by``, ``by=()`` and labels.
+
+    The labels are the random ``by``'s bucket ids, read by
+    ``read_assignment`` from lines that end in a random mix of LF and CRLF.
+    """
+    by = rng.sample(table.attributes, rng.randint(0, len(table.attributes)))
+    labels = partition(table, by=by).bucket_of
+    ends = [rng.choice(["\n", "\r\n"]) for _ in table.person_ids]
+    lines = [f"{p}\t{labels[p]}{end}" for p, end in zip(table.person_ids, ends)]
+    rng.shuffle(lines)
+    assignment = read_assignment(io.StringIO("".join(lines), newline=""))
+    return [{"by": by}, {"by": ()}, {"assignment": assignment}]
+
+
+# "a|b","c" and "a","b|c" join to the same text; the second bucket is "a|b|c+"
+COLLISION = load_table(io.StringIO('A,B,S\n"a|b",c,x\na,"b|c",y\na,"b|c",x\n'), "S")
+
+
+@given(seed=st.integers(min_value=0, max_value=10_000))
+@settings(max_examples=60, deadline=None)
+def test_histograms_are_partition_counts(seed):
+    rng = random.Random(seed)
+    random_table, _ = random_table_and_hierarchy(rng)
+    for table in (random_table, COLLISION):
+        for grouping in _groupings(rng, table) + [{"by": table.attributes}]:
+            expected = partition(table, **grouping).buckets
+            assert histograms(table, **grouping) == [b.counts for b in expected]
+            indices = rng.sample(range(len(expected)), rng.randint(0, len(expected)))
+            assert buckets_at(table, indices, **grouping) == [expected[i] for i in indices]
+
+
+@pytest.mark.parametrize(
+    "grouping",
+    [
+        {},
+        {"assignment": {"Bob": "x"}, "by": ("Sex",)},
+        {"assignment": {"Bob": "x"}},
+        {"assignment": {**{p: "x" for p in "Bob Charlie Dave".split()}, "Nobody": "x"}},
+        {"assignment": {"Nobody": "x", "Ghost": "y"}},
+        {"by": ("Sex", "NoSuch", "Other")},
+    ],
+)
+def test_histograms_raise_partition_errors(demo_table, grouping):
+    with pytest.raises(ValidationError) as expected:
+        partition(demo_table, **grouping)
+    for call in (histograms, lambda t, **g: buckets_at(t, [0], **g)):
+        with pytest.raises(ValidationError, match=f"^{re.escape(str(expected.value))}$"):
+            call(demo_table, **grouping)
