@@ -212,14 +212,10 @@ def knowledge_probability(
 # Brute-force maximum disclosure
 # ============================================================================
 
-def _atom_key(atom: Atom) -> tuple[str, str]:
-    return (atom.person, atom.value)
-
-
 def _impl_key(impl: BasicImplication) -> tuple:
     return (
-        tuple(_atom_key(a) for a in impl.antecedents),
-        tuple(_atom_key(c) for c in impl.consequents),
+        tuple((a.person, a.value) for a in impl.antecedents),
+        tuple((c.person, c.value) for c in impl.consequents),
     )
 
 
@@ -227,44 +223,48 @@ class _Best:
     """Running maximum with a deterministic lexicographic witness tie-break.
 
     Witnesses are compared by (target atom, sorted implication list); on equal
-    posterior values the smaller witness key wins. Values compare by
-    cross-multiplication, so everything stays in integers.
+    posterior values the smaller witness key wins. Targets come in (person,
+    value) order, so ``key`` holds the target's index and the chosen
+    implications' precomputed keys. Values compare by cross-multiplication,
+    so everything stays in integers. ``scan`` holds the target masks an offer
+    can still win with: a posterior cannot exceed 1, so once the value is 1
+    only the targets up to the best one can tie and win on a smaller key.
+    ``scan`` is always a prefix of the target list, so an index into it is
+    the target's index.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, target_masks: list[int]) -> None:
+        self.scan = target_masks
         self.num = -1
         self.den = 1
         self.impls: tuple[BasicImplication, ...] = ()
-        self.target: Atom | None = None
+        self.key: tuple = ()
 
     def offer(
         self,
         num: int,
         den: int,
         impls: tuple[BasicImplication, ...],
-        target: Atom,
+        keys: tuple,
+        index: int,
     ) -> None:
         lhs = num * self.den
         rhs = self.num * den
-        if lhs < rhs:
+        if lhs < rhs or (lhs == rhs and (index, keys) >= self.key):
             return
-        if lhs == rhs:
-            key = (_atom_key(target), tuple(_impl_key(i) for i in impls))
-            assert self.target is not None
-            best_key = (
-                _atom_key(self.target),
-                tuple(_impl_key(i) for i in self.impls),
-            )
-            if key >= best_key:
-                return
         self.num, self.den = num, den
-        self.impls, self.target = impls, target
+        self.impls, self.key = impls, (index, keys)
+        if num == den:
+            self.scan = self.scan[: index + 1]
 
 
-def _atom_masks(
-    bucketization: Bucketization,
-) -> tuple[dict[tuple[str, str], int], int, list[Atom]]:
-    """Bitmasks over the enumerated worlds for every (person, value) atom."""
+def _atom_masks(bucketization: Bucketization) -> tuple[list[Atom], list[int], int]:
+    """Every (person, value) atom with its bitmask over the enumerated worlds.
+
+    Atoms come in (person, value) order whatever the domain's order, so
+    implications built from them come in witness-key order. The last item is
+    the mask of all worlds.
+    """
     per_bucket = [
         [values for values, _ in _mentioned_sequences(b, b.size)]
         for b in bucketization.buckets
@@ -283,66 +283,69 @@ def _atom_masks(
     atoms = [
         Atom(p, v)
         for p in sorted(bucketization.bucket_of)
-        for v in bucketization.domain
+        for v in sorted(bucketization.domain)
     ]
-    full = (1 << count) - 1
-    for a in atoms:
-        masks.setdefault((a.person, a.value), 0)
-    return masks, full, atoms
+    return atoms, [masks.get((a.person, a.value), 0) for a in atoms], (1 << count) - 1
 
 
 def _dedup_implications(
-    pairs: Iterable[tuple[BasicImplication, int]]
-) -> list[tuple[BasicImplication, int]]:
-    """Drop implications whose world-set repeats, keeping the first (lex-least).
+    pairs: Iterable[tuple[int, int]], atoms: list[Atom], masks: list[int], full: int
+) -> list[tuple[BasicImplication, int, tuple]]:
+    """The simple implications atoms[a] -> atoms[c] with distinct world-sets.
 
-    Sound for witness reconstruction: swapping an implication for an earlier
-    one with the same world-set never changes a conjunction's world-set and
-    never increases the witness sort key.
+    Drops an implication whose world-set repeats, keeping the first
+    (lex-least). Sound for witness reconstruction: swapping an implication
+    for an earlier one with the same world-set never changes a conjunction's
+    world-set and never increases the witness sort key. Only kept
+    implications are built, each with its world-set and witness key.
     """
-    seen: dict[int, BasicImplication] = {}
+    seen: set[int] = set()
     out = []
-    for impl, mask in pairs:
+    for a, c in pairs:
+        mask = (full ^ masks[a]) | masks[c]
         if mask not in seen:
-            seen[mask] = impl
-            out.append((impl, mask))
+            seen.add(mask)
+            impl = simple_implication(atoms[a], atoms[c])
+            out.append((impl, mask, _impl_key(impl)))
     return out
 
 
 def _search_subsets(
-    items: list[tuple[BasicImplication, int]],
+    items: list[tuple[BasicImplication, int, tuple]],
     k: int,
     full: int,
-    targets: list[tuple[Atom, int]],
     best: _Best,
 ) -> None:
     """Maximize the posterior over conjunctions of <= k of the given implications.
 
     Equals the maximum over exactly-k conjunctions: repeating a conjunct never
     changes the formula. Subsets whose conjunction collapses onto a smaller,
-    already-visited subset are skipped.
+    already-visited subset are skipped. A conjunction's denominator is fixed,
+    so it makes one offer: the first target in ``best.scan`` with the most
+    worlds, which has the largest posterior and the least key among them.
+    Once the value is 1, ``best.scan`` ends at the best target.
     """
 
-    def score(mask: int, impls: tuple[BasicImplication, ...]) -> None:
-        den = mask.bit_count()
-        for t, tmask in targets:
-            num = (mask & tmask).bit_count()
-            if num:
-                best.offer(num, den, impls, t)
+    def score(mask: int, impls: tuple[BasicImplication, ...], keys: tuple) -> None:
+        nums = [(mask & tmask).bit_count() for tmask in best.scan]
+        num = max(nums, default=0)
+        if num:
+            best.offer(num, mask.bit_count(), impls, keys, nums.index(num))
 
-    def extend(start: int, mask: int, chosen: tuple[BasicImplication, ...]) -> None:
-        if len(chosen) == k:
-            return
+    def extend(start: int, mask: int, chosen: tuple, keys: tuple) -> None:
         for i in range(start, len(items)):
-            impl, imask = items[i]
+            impl, imask, key = items[i]
             combined = mask & imask
             if combined == 0 or combined == mask:
                 continue  # inconsistent, or equivalent to the subset without i
-            score(combined, chosen + (impl,))
-            extend(i + 1, combined, chosen + (impl,))
+            impls, impl_keys = chosen + (impl,), keys + (key,)
+            score(combined, impls, impl_keys)
+            if len(impls) < k:
+                extend(i + 1, combined, impls, impl_keys)
 
-    score(full, ())
-    extend(0, full, ())
+    score(full, (), ())
+    if k:
+        extend(0, full, (), ())
 
 
 def brute_force_max_disclosure(
@@ -361,8 +364,12 @@ def brute_force_max_disclosure(
     negations). Returns the exact maximum with a lexicographically least
     witness (by target atom, then sorted implication list), least among the
     formulas with no removable conjunct: a conjunct that leaves the world set
-    unchanged is never part of a reported witness. Exponential by design; the
-    world count must fit ``budget`` and k must not exceed ``max_k``.
+    unchanged is never part of a reported witness. The witness does not
+    depend on the order of ``bucketization.domain``. Exponential by design;
+    k must not exceed ``max_k``, and both the world count and the number of
+    conjunctions to search (sum over j <= k of C(n, j) for the n distinct
+    implications, summed over consequents for ``simple-common-consequent``)
+    must fit ``budget``.
     """
     if k < 0:
         raise ValidationError("k must be non-negative")
@@ -371,43 +378,34 @@ def brute_force_max_disclosure(
     wc = world_count(bucketization)
     if wc > budget:
         raise BudgetExceededError(wc, budget)
-    masks, full, atoms = _atom_masks(bucketization)
-    targets = [(a, masks[(a.person, a.value)]) for a in atoms]
-    best = _Best()
-
-    def impl_mask(impl: BasicImplication) -> int:
-        antecedent = full
-        for a in impl.antecedents:
-            antecedent &= masks[(a.person, a.value)]
-        consequent = 0
-        for c in impl.consequents:
-            consequent |= masks[(c.person, c.value)]
-        return (full ^ antecedent) | consequent
-
+    atoms, masks, full = _atom_masks(bucketization)
+    n = len(atoms)
     if kind == SIMPLE:
-        items = _dedup_implications(
-            (impl, impl_mask(impl))
-            for impl in (simple_implication(a, c) for a in atoms for c in atoms)
-        )
-        _search_subsets(items, k, full, targets, best)
+        groups = [itertools.product(range(n), repeat=2)]
     elif kind == COMMON_CONSEQUENT:
-        for consequent in atoms:
-            items = _dedup_implications(
-                (impl, impl_mask(impl))
-                for impl in (simple_implication(a, consequent) for a in atoms)
-            )
-            _search_subsets(items, k, full, targets, best)
+        groups = [[(a, c) for a in range(n)] for c in range(n)]
     elif kind == NEGATED_ATOMS:
-        if len(bucketization.domain) >= 2:
-            negations = [
-                negation_as_implication(a, bucketization.domain) for a in atoms
+        domain = bucketization.domain
+        index = {atom: i for i, atom in enumerate(atoms)}
+        # a 1-value domain cannot express a negation; only k=0 remains
+        groups = [
+            [
+                (a, index[negation_as_implication(atoms[a], domain).consequents[0]])
+                for a in range(n)
             ]
-        else:
-            negations = []  # negation inexpressible; only k=0 remains
-        items = _dedup_implications((n, impl_mask(n)) for n in negations)
-        _search_subsets(items, k, full, targets, best)
+            if len(domain) >= 2 else []
+        ]
     else:
         raise ValidationError(f"unknown search family {kind!r}")
+    searches = [_dedup_implications(pairs, atoms, masks, full) for pairs in groups]
+    count = sum(
+        math.comb(len(items), j) for items in searches for j in range(k + 1)
+    )
+    if count > budget:
+        raise BudgetExceededError(count, budget, "search conjunction count")
+    best = _Best(masks)
+    for items in searches:
+        _search_subsets(items, k, full, best)
 
-    assert best.target is not None
-    return Fraction(best.num, best.den), Knowledge(best.impls), best.target
+    assert best.key
+    return Fraction(best.num, best.den), Knowledge(best.impls), atoms[best.key[0]]

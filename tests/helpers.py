@@ -3,8 +3,20 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
-from bucketrisk import Bucketization, Hierarchy, Table, make_bucket
+from bucketrisk import (
+    Atom,
+    BasicImplication,
+    Bucketization,
+    Hierarchy,
+    Knowledge,
+    Table,
+    make_bucket,
+    negation_as_implication,
+    simple_implication,
+)
+from bucketrisk.oracle import COMMON_CONSEQUENT, NEGATED_ATOMS, SIMPLE, _atom_masks
 
 VALUES = ("a", "b", "c", "d")
 
@@ -82,3 +94,136 @@ def random_table_and_hierarchy(
         declared.append("suppress")
         levels[attribute] = tuple(declared)
     return table, Hierarchy(attributes, levels)
+
+
+def reference_brute_force(bucketization, k, kind=SIMPLE):
+    """The oracle's search as one offer per (conjunction, target) pair.
+
+    A test-only reference for ``brute_force_max_disclosure``: the same
+    family, deduplication and tie-break, scored target by target with every
+    witness key built on demand. Atoms come from the oracle's own
+    ``_atom_masks``, so domains should be sorted when comparing witnesses.
+    """
+    atoms, atom_masks, full = _atom_masks(bucketization)
+    targets = list(zip(atoms, atom_masks))
+    masks = {(a.person, a.value): mask for a, mask in targets}
+
+    def items(impls):
+        seen, out = set(), []
+        for impl in impls:
+            antecedent = full
+            for a in impl.antecedents:
+                antecedent &= masks[(a.person, a.value)]
+            consequent = 0
+            for c in impl.consequents:
+                consequent |= masks[(c.person, c.value)]
+            mask = (full ^ antecedent) | consequent
+            if mask not in seen:
+                seen.add(mask)
+                out.append((impl, mask))
+        return out
+
+    best = _Best()
+    if kind == SIMPLE:
+        groups = [[simple_implication(a, c) for a in atoms for c in atoms]]
+    elif kind == COMMON_CONSEQUENT:
+        groups = [[simple_implication(a, c) for a in atoms] for c in atoms]
+    else:
+        assert kind == NEGATED_ATOMS
+        domain = bucketization.domain
+        groups = [
+            [negation_as_implication(a, domain) for a in atoms]
+            if len(domain) >= 2 else []
+        ]
+    for group in groups:
+        _search_subsets(items(group), k, full, targets, best)
+    return Fraction(best.num, best.den), Knowledge(best.impls), best.target
+
+
+# The oracle's search loop before it made one offer per conjunction, kept
+# verbatim for the reference above.
+
+
+def _atom_key(atom: Atom) -> tuple[str, str]:
+    return (atom.person, atom.value)
+
+
+def _impl_key(impl: BasicImplication) -> tuple:
+    return (
+        tuple(_atom_key(a) for a in impl.antecedents),
+        tuple(_atom_key(c) for c in impl.consequents),
+    )
+
+
+class _Best:
+    """Running maximum with a deterministic lexicographic witness tie-break.
+
+    Witnesses are compared by (target atom, sorted implication list); on equal
+    posterior values the smaller witness key wins. Values compare by
+    cross-multiplication, so everything stays in integers.
+    """
+
+    def __init__(self) -> None:
+        self.num = -1
+        self.den = 1
+        self.impls: tuple[BasicImplication, ...] = ()
+        self.target: Atom | None = None
+
+    def offer(
+        self,
+        num: int,
+        den: int,
+        impls: tuple[BasicImplication, ...],
+        target: Atom,
+    ) -> None:
+        lhs = num * self.den
+        rhs = self.num * den
+        if lhs < rhs:
+            return
+        if lhs == rhs:
+            key = (_atom_key(target), tuple(_impl_key(i) for i in impls))
+            assert self.target is not None
+            best_key = (
+                _atom_key(self.target),
+                tuple(_impl_key(i) for i in self.impls),
+            )
+            if key >= best_key:
+                return
+        self.num, self.den = num, den
+        self.impls, self.target = impls, target
+
+
+def _search_subsets(
+    items: list[tuple[BasicImplication, int]],
+    k: int,
+    full: int,
+    targets: list[tuple[Atom, int]],
+    best: _Best,
+) -> None:
+    """Maximize the posterior over conjunctions of <= k of the given implications.
+
+    Equals the maximum over exactly-k conjunctions: repeating a conjunct never
+    changes the formula. Subsets whose conjunction collapses onto a smaller,
+    already-visited subset are skipped.
+    """
+
+    def score(mask: int, impls: tuple[BasicImplication, ...]) -> None:
+        den = mask.bit_count()
+        for t, tmask in targets:
+            num = (mask & tmask).bit_count()
+            if num:
+                best.offer(num, den, impls, t)
+
+    def extend(start: int, mask: int, chosen: tuple[BasicImplication, ...]) -> None:
+        if len(chosen) == k:
+            return
+        for i in range(start, len(items)):
+            impl, imask = items[i]
+            combined = mask & imask
+            if combined == 0 or combined == mask:
+                continue  # inconsistent, or equivalent to the subset without i
+            score(combined, chosen + (impl,))
+            extend(i + 1, combined, chosen + (impl,))
+
+    score(full, ())
+    extend(0, full, ())

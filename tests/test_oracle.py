@@ -30,7 +30,7 @@ from bucketrisk.oracle import (
     _projected_size,
     brute_force_max_disclosure,
 )
-from helpers import random_bucketization
+from helpers import random_bucketization, reference_brute_force
 
 
 def imp(a, b):
@@ -228,3 +228,67 @@ def test_brute_force_guards(demo_bucketization):
     b = Bucketization((make_bucket("b", ["p", "q"], ["a", "b"]),), ("a", "b"))
     v, _, _ = brute_force_max_disclosure(b, 4, max_k=4)
     assert v == 1
+
+
+FAMILIES = (SIMPLE, COMMON_CONSEQUENT, NEGATED_ATOMS)
+
+
+def _shuffled_domain(b, rng):
+    domain = list(b.domain)
+    rng.shuffle(domain)
+    return Bucketization(b.buckets, tuple(domain))
+
+
+def test_brute_force_witness_ignores_domain_order(demo_bucketization):
+    rng = random.Random(1313)
+    shuffled = _shuffled_domain(demo_bucketization, rng)
+    assert shuffled.domain != demo_bucketization.domain
+    for k in (0, 1):
+        assert brute_force_max_disclosure(
+            shuffled, k
+        ) == brute_force_max_disclosure(demo_bucketization, k)
+    changed = 0
+    for _ in range(25):
+        b = random_bucketization(rng, max_tuples=6, min_values=2)
+        shuffled = _shuffled_domain(b, rng)
+        changed += shuffled.domain != b.domain
+        for kind in FAMILIES:
+            for k in (0, 1, 2):
+                assert brute_force_max_disclosure(
+                    shuffled, k, kind
+                ) == brute_force_max_disclosure(b, k, kind)
+    assert changed >= 12
+
+
+def test_brute_force_matches_per_target_reference():
+    rng = random.Random(1314)
+    checked = 0
+    for _ in range(60):
+        b = random_bucketization(rng, max_tuples=7, min_values=2)
+        for kind in FAMILIES:
+            for k in (0, 1, 2):
+                try:
+                    got = brute_force_max_disclosure(b, k, kind, budget=5000)
+                except BudgetExceededError:
+                    continue
+                assert got == reference_brute_force(b, k, kind)
+                checked += 1
+    assert checked >= 500
+
+
+def test_brute_force_budget_caps_conjunctions(demo_bucketization):
+    # 1056 distinct simple implications: sum of C(1056, j) for j <= k
+    with pytest.raises(BudgetExceededError) as e:
+        brute_force_max_disclosure(demo_bucketization, 3)
+    assert e.value.count == 196_264_817
+    assert "search conjunction count" in str(e.value)
+    with pytest.raises(BudgetExceededError) as e:
+        brute_force_max_disclosure(demo_bucketization, 2, budget=558_096)
+    assert e.value.count == 558_097
+    # two worlds; each consequent keeps 2 distinct implications, so the
+    # common-consequent search counts 4 * (1 + 2) = 12 conjunctions at k = 1
+    b = Bucketization((make_bucket("b", ["p", "q"], ["a", "b"]),), ("a", "b"))
+    with pytest.raises(BudgetExceededError) as e:
+        brute_force_max_disclosure(b, 1, COMMON_CONSEQUENT, budget=11)
+    assert e.value.count == 12
+    assert brute_force_max_disclosure(b, 1, COMMON_CONSEQUENT, budget=12)[0] == 1
