@@ -8,14 +8,8 @@ sizes, a brute-force enumeration oracle to verify it at small sizes, and a
 search over generalization lattices for the least-general safe publication.
 """
 
-from .curves import (
-    CurvePoint,
-    SkewedSingleBucketFamily,
-    disclosure_vs_k,
-    emit_csv,
-    entropy_vs_disclosure,
-    read_csv,
-)
+import importlib
+
 from .engine import (
     DisclosureReport,
     Engine,
@@ -29,6 +23,7 @@ from .engine import (
     minimize_within_bucket,
 )
 from .errors import (
+    DEFAULT_BUDGET,
     BucketRiskError,
     BudgetExceededError,
     InconsistentKnowledgeError,
@@ -50,25 +45,6 @@ from .knowledge import (
     validate_atom,
     validate_knowledge,
 )
-from .lattice import (
-    Hierarchy,
-    SafetyThreshold,
-    all_minimal_safe,
-    apply,
-    binary_search_chain,
-    height_utility,
-    is_safe,
-    leq,
-    load_hierarchy,
-    select_by_utility,
-)
-from .oracle import (
-    DEFAULT_BUDGET,
-    brute_force_max_disclosure,
-    exact_posterior,
-    knowledge_probability,
-    world_count,
-)
 from .table import (
     Bucket,
     Bucketization,
@@ -83,6 +59,55 @@ from .table import (
     read_assignment,
     read_domain,
 )
+
+# Layers that only some commands run. Each is imported the first time one of
+# its names, or the submodule itself, is read from the package. The layers
+# above stay eager: every table command runs them, and compiling them after
+# click raised the peak RSS of `anonymize` although it compiled less.
+_LAZY = {
+    "curves": (
+        "CurvePoint",
+        "SkewedSingleBucketFamily",
+        "disclosure_vs_k",
+        "emit_csv",
+        "entropy_vs_disclosure",
+        "read_csv",
+    ),
+    "lattice": (
+        "Hierarchy",
+        "SafetyThreshold",
+        "all_minimal_safe",
+        "apply",
+        "binary_search_chain",
+        "height_utility",
+        "is_safe",
+        "leq",
+        "load_hierarchy",
+        "select_by_utility",
+    ),
+    "oracle": (
+        "brute_force_max_disclosure",
+        "exact_posterior",
+        "knowledge_probability",
+        "world_count",
+    ),
+}
+_LAZY_NAMES = {name: module for module, names in _LAZY.items() for name in names}
+
+
+def __getattr__(name):
+    if name in _LAZY:
+        return importlib.import_module(f".{name}", __name__)
+    if name in _LAZY_NAMES:
+        value = getattr(importlib.import_module(f".{_LAZY_NAMES[name]}", __name__), name)
+        globals()[name] = value
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *_LAZY, *_LAZY_NAMES})
+
 
 __version__ = "0.1.0"
 

@@ -12,30 +12,17 @@ generalization found.
 from __future__ import annotations
 
 import functools
-import random
 import sys
 from fractions import Fraction
 from pathlib import Path
 
 import click
 
-from .curves import (
-    SkewedSingleBucketFamily,
-    disclosure_vs_k,
-    emit_csv,
-    entropy_vs_disclosure,
-)
+# lattice, oracle and curves are imported inside the commands that run them,
+# so that each command compiles only the layers it uses
 from .engine import disclosure_at, max_disclosure, max_disclosure_negated_atoms
-from .errors import BucketRiskError, BudgetExceededError, ValidationError
-from .knowledge import Knowledge, format_knowledge, parse_atom, parse_knowledge
-from .lattice import (
-    SafetyThreshold,
-    all_minimal_safe,
-    binary_search_chain,
-    load_hierarchy,
-    select_by_utility,
-)
-from .oracle import DEFAULT_BUDGET, exact_posterior
+from .errors import DEFAULT_BUDGET, BucketRiskError, BudgetExceededError, ValidationError
+from .knowledge import Knowledge, parse_atom, parse_knowledge
 from .table import (
     Table,
     buckets_at,
@@ -140,6 +127,8 @@ def _emit_text(obj, lines) -> None:
 
 
 def _emit_points(obj, points) -> None:
+    from .curves import emit_csv
+
     emit_csv(points, obj["out_path"] or sys.stdout)
 
 
@@ -199,6 +188,8 @@ def disclose(obj, k, knowledge_class, witness, group_by):
 @handles_errors
 def oracle(obj, knowledge_path, target, group_by):
     """Exact posterior of one atom given explicit knowledge, by enumeration."""
+    from .oracle import exact_posterior
+
     table = _load_table(obj)
     bucketization = partition(table, **_grouping(obj, group_by))
     knowledge = Knowledge()
@@ -266,6 +257,14 @@ def _parse_chain(spec: str, hierarchy) -> list[tuple[int, ...]]:
 @handles_errors
 def anonymize(obj, hierarchy_path, c_text, k, all_minimal, chain_spec):
     """Find generalizations keeping worst-case disclosure below c."""
+    from .lattice import (
+        SafetyThreshold,
+        all_minimal_safe,
+        binary_search_chain,
+        load_hierarchy,
+        select_by_utility,
+    )
+
     if all_minimal == bool(chain_spec):
         raise ValidationError("use exactly one of --all-minimal and --chain")
     table = _load_table(obj)
@@ -304,11 +303,15 @@ def anonymize(obj, hierarchy_path, c_text, k, all_minimal, chain_spec):
 @handles_errors
 def curve_k(obj, k_max, group_by, sample, seed):
     """Emit disclosure-vs-k series for implications and negations."""
+    from .curves import disclosure_vs_k
+
     table = _load_table(obj)
     _check_work(obj, 2 * (k_max + 1), "output row count")
     if sample is not None:
         if not 0 < sample <= 1:
             raise ValidationError("--sample must be in (0, 1]")
+        import random
+
         n = len(table.person_ids)
         rows = random.Random(seed).sample(range(n), max(1, round(sample * n)))
         pick = lambda column: tuple(column[i] for i in rows)
@@ -326,6 +329,8 @@ def curve_k(obj, k_max, group_by, sample, seed):
 @handles_errors
 def curve_entropy(obj, domain_size, per_value, k_text):
     """Emit least-disclosure-vs-entropy series over a synthetic bucket family."""
+    from .curves import SkewedSingleBucketFamily, entropy_vs_disclosure
+
     try:
         k_list = [int(part) for part in k_text.split(",") if part.strip()]
     except ValueError:

@@ -8,6 +8,9 @@ result and the CLI exits 4.
 
 from __future__ import annotations
 
+# The default --budget, and the default budget of the oracle's enumerations.
+DEFAULT_BUDGET = 10_000_000
+
 
 class BucketRiskError(Exception):
     """Base class for all errors raised by this package."""

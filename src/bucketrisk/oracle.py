@@ -28,6 +28,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .errors import (
+    DEFAULT_BUDGET,
     BudgetExceededError,
     InconsistentKnowledgeError,
     ValidationError,
@@ -41,8 +42,6 @@ from .knowledge import (
     simple_implication,
 )
 from .table import Bucket, Bucketization
-
-DEFAULT_BUDGET = 10_000_000
 
 # Search families for brute_force_max_disclosure.
 SIMPLE = "simple"
@@ -375,6 +374,8 @@ def brute_force_max_disclosure(
         raise ValidationError("k must be non-negative")
     if k > max_k:
         raise ValidationError(f"k={k} exceeds max_k={max_k}; raise max_k to insist")
+    if not bucketization.buckets:
+        raise ValidationError("empty bucketization")
     wc = world_count(bucketization)
     if wc > budget:
         raise BudgetExceededError(wc, budget)
@@ -406,6 +407,4 @@ def brute_force_max_disclosure(
     best = _Best(masks)
     for items in searches:
         _search_subsets(items, k, full, best)
-
-    assert best.key
     return Fraction(best.num, best.den), Knowledge(best.impls), atoms[best.key[0]]

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import os
 import random
 from fractions import Fraction
+from pathlib import Path
 
+import bucketrisk
 from bucketrisk import (
     Atom,
     BasicImplication,
@@ -19,6 +22,13 @@ from bucketrisk import (
 from bucketrisk.oracle import COMMON_CONSEQUENT, NEGATED_ATOMS, SIMPLE, _atom_masks
 
 VALUES = ("a", "b", "c", "d")
+
+
+def child_env(**extra: str) -> dict:
+    """Environment for a Python child process that imports this bucketrisk."""
+    src = str(Path(bucketrisk.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path, **extra)
 
 
 def bucketization_from_counts(count_maps, domain=None) -> Bucketization:

@@ -1,0 +1,138 @@
+"""Which layers each entry point loads, and the package namespace that hides it.
+
+``import bucketrisk`` loads the core layers (errors, table, knowledge,
+engine); lattice, oracle and curves load the first time one of their names is
+read. Every check on what a process loaded runs in a fresh interpreter.
+"""
+
+import json
+import subprocess
+import sys
+import types
+
+import pytest
+
+import bucketrisk
+from conftest import DATA
+from helpers import child_env
+
+CORE = {"bucketrisk.errors", "bucketrisk.table", "bucketrisk.knowledge", "bucketrisk.engine"}
+DEFERRED = {"bucketrisk.lattice", "bucketrisk.oracle", "bucketrisk.curves"}
+TABLE_ARGS = ["--table", str(DATA / "clinic.csv"), "--sensitive", "Disease", "--id", "Name"]
+HIERARCHY = str(DATA / "clinic-hierarchy.json")
+
+# Runs the command line as the installed `bucketrisk` script, then appends the
+# bucketrisk submodules it loaded to stderr, whatever the exit code.
+CLI_CHILD = """
+import sys
+from bucketrisk.cli import main
+try:
+    main(sys.argv[1:], prog_name="bucketrisk")
+finally:
+    loaded = sorted(m for m in sys.modules if m.startswith("bucketrisk."))
+    sys.stderr.write("\\nloaded: " + " ".join(loaded) + "\\n")
+"""
+
+
+def loaded_after(code: str) -> set[str]:
+    """The bucketrisk submodules a fresh interpreter holds after running ``code``."""
+    report = 'print(*sorted(m for m in sys.modules if m.startswith("bucketrisk.")))'
+    result = subprocess.run([sys.executable, "-c", f"import sys\n{code}\n{report}"],
+                            capture_output=True, text=True, env=child_env(), check=True)
+    return set(result.stdout.split())
+
+
+def run_cli(*args: str):
+    """(exit code, stdout, stderr, loaded submodules) of one fresh CLI process."""
+    # a fixed width, so click wraps help text the same way on every terminal
+    result = subprocess.run([sys.executable, "-c", CLI_CHILD, *args], capture_output=True,
+                            text=True, env=child_env(COLUMNS="80"))
+    stderr, _, loaded = result.stderr.rpartition("\nloaded: ")
+    return result.returncode, result.stdout, stderr, set(loaded.split())
+
+
+@pytest.mark.parametrize("code", ["import bucketrisk", "import bucketrisk.cli"])
+def test_import_loads_only_the_core_layers(code):
+    loaded = loaded_after(code)
+    assert CORE <= loaded
+    assert not loaded & DEFERRED
+
+
+@pytest.mark.parametrize(
+    "args, code, layers",
+    [
+        ([*TABLE_ARGS, "disclose", "--k", "2", "--group-by", "Sex"], 0, set()),
+        ([*TABLE_ARGS, "disclose", "--k", "2", "--group-by", "Sex", "--witness"], 0, set()),
+        ([*TABLE_ARGS, "disclose", "--k", "2", "--group-by", "Sex", "--class", "negations"],
+         0, set()),
+        ([*TABLE_ARGS, "disclose", "--k", "2", "--group-by", "Sex", "--class", "negations",
+          "--witness"], 2, set()),
+        ([*TABLE_ARGS, "oracle", "--target", "Charlie=Flu", "--group-by", "Sex",
+          "--knowledge", str(DATA / "flu.bk")], 0, {"bucketrisk.oracle"}),
+        ([*TABLE_ARGS, "anonymize", "--hierarchy", HIERARCHY, "--c", "7/10", "--k", "1",
+          "--all-minimal"], 0, {"bucketrisk.lattice"}),
+        ([*TABLE_ARGS, "curve-k", "--k-max", "2", "--group-by", "Sex"], 0,
+         {"bucketrisk.curves"}),
+        (["curve-entropy", "--domain-size", "2", "--per-value", "2", "--k", "1"], 0,
+         {"bucketrisk.curves"}),
+    ],
+    ids=["disclose", "disclose-witness", "disclose-negations", "disclose-negations-witness",
+         "oracle", "anonymize", "curve-k", "curve-entropy"],
+)
+def test_each_command_loads_only_the_layers_it_runs(args, code, layers):
+    exit_code, stdout, stderr, loaded = run_cli(*args)
+    assert exit_code == code, stderr
+    assert "Traceback" not in stderr
+    assert CORE <= loaded
+    assert loaded & DEFERRED == layers
+
+
+HELP = json.loads((DATA / "cli-help.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("command", sorted(HELP))
+def test_help_text_is_unchanged(command):
+    """Help output pinned from the release that imported every layer up front."""
+    exit_code, stdout, stderr, _ = run_cli(*command.split()[1:])
+    assert (exit_code, stdout, stderr) == (0, HELP[command], "")
+
+
+def test_every_public_name_is_its_defining_modules_object():
+    for name in bucketrisk.__all__:
+        value = getattr(bucketrisk, name)
+        home = "bucketrisk.errors" if name == "DEFAULT_BUDGET" else value.__module__
+        assert getattr(sys.modules[home], name) is value, name
+    from bucketrisk import errors, oracle
+
+    assert oracle.DEFAULT_BUDGET is errors.DEFAULT_BUDGET is bucketrisk.DEFAULT_BUDGET
+
+
+def test_star_import_and_dir_cover_all():
+    namespace = {}
+    exec("from bucketrisk import *", namespace)
+    assert set(bucketrisk.__all__) <= set(namespace)
+    assert set(bucketrisk.__all__) <= set(dir(bucketrisk))
+    assert {"lattice", "oracle", "curves"} <= set(dir(bucketrisk))
+
+
+def test_deferred_layers_resolve_after_a_bare_import():
+    code = (
+        "import bucketrisk\n"
+        "assert bucketrisk.lattice.__name__ == 'bucketrisk.lattice'\n"
+        "assert bucketrisk.oracle.__name__ == 'bucketrisk.oracle'\n"
+        "assert bucketrisk.curves.__name__ == 'bucketrisk.curves'"
+    )
+    assert DEFERRED <= loaded_after(code)
+    loaded = loaded_after("import bucketrisk\nbucketrisk.exact_posterior")
+    assert loaded & DEFERRED == {"bucketrisk.oracle"}
+
+
+def test_unknown_attribute_raises_the_standard_error():
+    with pytest.raises(AttributeError) as plain:
+        types.ModuleType("bucketrisk").no_such_name
+    with pytest.raises(AttributeError) as lazy:
+        bucketrisk.no_such_name
+    assert str(lazy.value) == str(plain.value)
+    assert str(lazy.value) == "module 'bucketrisk' has no attribute 'no_such_name'"
+    with pytest.raises(ImportError):
+        exec("from bucketrisk import no_such_name", {})

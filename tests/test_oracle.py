@@ -1,5 +1,7 @@
 import itertools
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -30,7 +32,7 @@ from bucketrisk.oracle import (
     _projected_size,
     brute_force_max_disclosure,
 )
-from helpers import random_bucketization, reference_brute_force
+from helpers import child_env, random_bucketization, reference_brute_force
 
 
 def imp(a, b):
@@ -228,6 +230,24 @@ def test_brute_force_guards(demo_bucketization):
     b = Bucketization((make_bucket("b", ["p", "q"], ["a", "b"]),), ("a", "b"))
     v, _, _ = brute_force_max_disclosure(b, 4, max_k=4)
     assert v == 1
+
+
+EMPTY_BRUTE_FORCE = """
+from bucketrisk import Bucketization, ValidationError, brute_force_max_disclosure
+try:
+    brute_force_max_disclosure(Bucketization((), ("a", "b")), 1)
+except ValidationError as exc:
+    print(exc)
+"""
+
+
+def test_brute_force_rejects_empty_bucketization():
+    """The same ValidationError as max_disclosure, also under -O, which strips asserts."""
+    with pytest.raises(ValidationError, match="^empty bucketization$"):
+        brute_force_max_disclosure(Bucketization((), ("a", "b")), 1)
+    result = subprocess.run([sys.executable, "-O", "-c", EMPTY_BRUTE_FORCE],
+                            capture_output=True, text=True, env=child_env(), check=True)
+    assert (result.stdout, result.stderr) == ("empty bucketization\n", "")
 
 
 FAMILIES = (SIMPLE, COMMON_CONSEQUENT, NEGATED_ATOMS)
