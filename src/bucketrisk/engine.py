@@ -110,10 +110,9 @@ class _BucketTable:
     more than a cap equal to them, so states are keyed by min(cap, rem).
     """
 
-    __slots__ = ("counts", "n", "_prefix", "memo", "choice", "evaluations")
+    __slots__ = ("n", "_prefix", "memo", "choice", "evaluations")
 
     def __init__(self, counts: tuple[int, ...]):
-        self.counts = counts
         self.n = sum(counts)
         prefix = [0]
         for c in counts:

@@ -138,9 +138,13 @@ def negation_as_implication(atom: Atom, domain: Sequence[str]) -> BasicImplicati
 # ============================================================================
 
 _SPECIAL = set(' \t()=&|"#')
+# every character at which str.splitlines, and so the parser, ends a line
+_LINE_BREAKS = set("\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029")
 
 
 def _quote(text: str) -> str:
+    if set(text) & _LINE_BREAKS:
+        raise ValidationError(f"cannot render {text!r}: line break")
     if (
         text
         and not (set(text) & _SPECIAL)

@@ -19,9 +19,9 @@ Ramakrishnan, SIGMOD 2005): O(groups) per node instead of O(rows).
 one attribute; ``binary_search_chain`` rolls each node up from the bottom,
 labelling each distinct raw value once per attribute. ``is_safe`` takes the
 resulting count tuples. ``apply`` is what builds buckets with members, and
-it labels rows with the same routine as the bottom rollup. ``apply``, the
-bottom node and the rollups all group with the table module's one grouping
-routine.
+it labels rows with the same routine as the bottom rollup. The bottom node
+is tallied by the table module's one tally routine, which ``histograms``
+also uses; ``apply`` and the rollups group with its one grouping routine.
 """
 
 from __future__ import annotations
@@ -34,7 +34,8 @@ from typing import Callable, Iterable, Sequence, Union
 
 from .engine import Engine, Histograms, disclosure_at
 from .errors import BudgetExceededError, ValidationError
-from .table import Bucketization, Source, Table, _bucketize, _group_rows, _open_text
+from .table import (Bucketization, Source, Table, Tallies, _bucketize, _count_tuples,
+                    _group_rows, _open_text, _tallies)
 
 Node = tuple[int, ...]
 
@@ -228,23 +229,9 @@ def apply(table: Table, hierarchy: Hierarchy, node: Sequence[int]) -> Bucketizat
     return _bucketize(table, map(_generalizer(hierarchy, node), raw))
 
 
-Tallies = dict[tuple[str, ...], list[int]]
-
-
 def _bottom_tallies(table: Table, hierarchy: Hierarchy) -> Tallies:
-    """Sensitive-value tallies per raw quasi-identifier tuple, in row order.
-
-    Tally entry i counts ``table.domain[i]``.
-    """
-    raw = zip(*_qi_columns(table, hierarchy))
-    index = {value: i for i, value in enumerate(table.domain)}
-    values = table.sensitive
-    tallies: Tallies = {}
-    for key, rows in _group_rows(raw).items():
-        tally = tallies[key] = [0] * len(index)
-        for row in rows:
-            tally[index[values[row]]] += 1
-    return tallies
+    """Sensitive-value tallies per raw quasi-identifier tuple, in row order."""
+    return _tallies(table, zip(*_qi_columns(table, hierarchy)))
 
 
 def _regroup(tallies: Tallies, keys: Iterable[tuple[str, ...]]) -> Tallies:
@@ -260,11 +247,6 @@ def _regroup(tallies: Tallies, keys: Iterable[tuple[str, ...]]) -> Tallies:
     }
 
 
-def _histograms(tallies: Tallies) -> list[tuple[int, ...]]:
-    """Each tally's positive counts, in descending order."""
-    return [tuple(sorted(filter(None, tally), reverse=True)) for tally in tallies.values()]
-
-
 def _rollup(
     bottom: Tallies, hierarchy: Hierarchy, node: Node
 ) -> list[tuple[int, ...]]:
@@ -273,7 +255,7 @@ def _rollup(
     Relabels the bottom node's keys and sums the tallies of keys that meet,
     in O(groups).
     """
-    return _histograms(_regroup(bottom, map(_generalizer(hierarchy, node), bottom)))
+    return _count_tuples(_regroup(bottom, map(_generalizer(hierarchy, node), bottom)))
 
 
 def _step(
@@ -383,16 +365,18 @@ def all_minimal_safe(
         raise BudgetExceededError(size, budget)
     order = sorted(hierarchy.nodes(), key=height_utility)
     minimal: list[Node] = []
-    raws = [dict.fromkeys(column) for column in _qi_columns(table, hierarchy)]
+    # the evaluated nodes one height down, the bottom node before the sweep;
+    # its keys give each attribute's distinct raws in first-row order
+    below: dict[Node, Tallies] = {hierarchy.bottom(): _bottom_tallies(table, hierarchy)}
+    raws = [dict.fromkeys(values) for values in zip(*below[hierarchy.bottom()])]
     engine = Engine()
-    below: dict[Node, Tallies] = {}  # the evaluated nodes one height down
     for height, layer in itertools.groupby(order, key=sum):
         evaluated: dict[Node, Tallies] = {}
         for node in layer:
             if any(all(n >= m for n, m in zip(node, found)) for found in minimal):
                 continue
             if height == 0:
-                tallies = _bottom_tallies(table, hierarchy)
+                tallies = below[node]
             else:
                 # every child was evaluated; take the one a level lower in
                 # the first raised attribute
@@ -403,7 +387,7 @@ def all_minimal_safe(
                     child, ((*key[:j], step[key[j]], *key[j + 1 :]) for key in child)
                 )
             evaluated[node] = tallies
-            if is_safe(_histograms(tallies), threshold, engine=engine):
+            if is_safe(_count_tuples(tallies), threshold, engine=engine):
                 minimal.append(node)
         below = evaluated
     return minimal

@@ -13,6 +13,8 @@ engine, the generalization search) consumes the types defined here.
 The polynomial engine reads only each bucket's histogram, so
 ``histograms`` tallies a grouping's count tuples without building buckets,
 and ``buckets_at`` builds members only for the few buckets a witness names.
+``_tallies`` is the one loop that counts rows into sensitive-value tallies;
+``histograms`` and the generalization search's bottom node both use it.
 ``load_table`` reads the CSV in chunks and keeps one string object per
 distinct value of every non-id column.
 
@@ -155,12 +157,6 @@ class Bucket:
         return self.histogram[j][0] if j < len(self.histogram) else None
 
 
-def _ranked(tally: Mapping[str, int]) -> list[str]:
-    """A tally's values in histogram order: count descending, then value ascending."""
-    # sorted() is stable, so the value order survives among equal counts
-    return sorted(sorted(tally), key=tally.__getitem__, reverse=True)
-
-
 def make_bucket(bucket_id: str, members: Sequence[str], values: Sequence[str]) -> Bucket:
     """Build a bucket from parallel member/value sequences, sorting the histogram."""
     if len(members) != len(values):
@@ -168,7 +164,8 @@ def make_bucket(bucket_id: str, members: Sequence[str], values: Sequence[str]) -
     tally: dict[str, int] = {}
     for v in values:
         tally[v] = tally.get(v, 0) + 1
-    order = _ranked(tally)
+    # count descending, then value ascending: sorted() is stable
+    order = sorted(sorted(tally), key=tally.__getitem__, reverse=True)
     histogram = tuple(zip(order, map(tally.__getitem__, order)))
     return Bucket(bucket_id=bucket_id, members=tuple(members), histogram=histogram)
 
@@ -187,10 +184,16 @@ class Bucketization:
     def __post_init__(self) -> None:
         seen: set[str] = set()
         ids: set[str] = set()
+        domain = set(self.domain)
         for b in self.buckets:
             if b.bucket_id in ids:
                 raise ValidationError(f"duplicate bucket id {b.bucket_id!r}")
             ids.add(b.bucket_id)
+            for value, _ in b.histogram:
+                if value not in domain:
+                    raise ValidationError(
+                        f"bucket {b.bucket_id!r}: value {value!r} outside the domain"
+                    )
             for p in b.members:
                 if p in seen:
                     raise ValidationError(f"person {p!r} appears in two buckets")
@@ -374,13 +377,7 @@ def histograms(
     Each tuple is descending. ``partition``'s checks run, in its order, but
     no bucket is built: one pass tallies the sensitive values of each key.
     """
-    tallies: dict[tuple[str, ...], dict[str, int]] = {}
-    for key, value in zip(_keys(table, assignment, by), table.sensitive):
-        tally = tallies.get(key)
-        if tally is None:
-            tally = tallies[key] = {}
-        tally[value] = tally.get(value, 0) + 1
-    return [tuple(map(tally.__getitem__, _ranked(tally))) for tally in tallies.values()]
+    return _count_tuples(_tallies(table, _keys(table, assignment, by)))
 
 
 def buckets_at(
@@ -398,6 +395,29 @@ def buckets_at(
     indices = list(indices)
     built = _buckets(table, _keys(table, assignment, by), set(indices))
     return [built[i] for i in indices]
+
+
+Tallies = dict[tuple[str, ...], list[int]]
+
+
+def _tallies(table: Table, keys: Iterable[tuple[str, ...]]) -> Tallies:
+    """Each distinct key's sensitive-value tally, given one key per row.
+
+    Keys appear in order of their first row; entry i counts ``table.domain[i]``.
+    """
+    index = {value: i for i, value in enumerate(table.domain)}
+    tallies: Tallies = {}
+    for key, i in zip(keys, map(index.__getitem__, table.sensitive)):
+        tally = tallies.get(key)
+        if tally is None:
+            tally = tallies[key] = [0] * len(index)
+        tally[i] += 1
+    return tallies
+
+
+def _count_tuples(tallies: Tallies) -> list[tuple[int, ...]]:
+    """Each tally's positive counts, in descending order."""
+    return [tuple(sorted(filter(None, tally), reverse=True)) for tally in tallies.values()]
 
 
 def _group_rows(keys: Iterable[Hashable]) -> dict[Hashable, list[int]]:

@@ -156,6 +156,17 @@ def test_unreadable_file_exits_2(runner, tmp_path, case):
     assert r.stdout == ""
 
 
+def test_witness_with_a_line_break_in_an_id_exits_2(runner, tmp_path):
+    # the id is quoted in the CSV; rendered, it would split the witness
+    path = tmp_path / "newline.csv"
+    path.write_text('Name,Sex,Disease\n"Al\nBo",M,Flu\nCy,M,Mumps\n', encoding="utf-8")
+    r = runner.invoke(main, ["--table", str(path), "--sensitive", "Disease", "--id", "Name",
+                             "disclose", "--k", "0", "--group-by", "Sex", "--witness"])
+    assert r.exit_code == 2
+    assert r.stdout == ""
+    assert r.stderr == "error: cannot render 'Al\\nBo': line break\n"
+
+
 SEARCH_FAILURES = {
     "missing-value": ('{"A": [{"a1": "g", "a2": "g"}], "B": [{"b1": "h", "b2": "h"}]}',
                       "A=0..1,B=0..1",

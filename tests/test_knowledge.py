@@ -162,3 +162,20 @@ def test_str_forms_quote_when_needed():
     a = Atom("Bob", "Lung Cancer")
     assert str(a) == 'Bob="Lung Cancer"'
     assert str(imp(("A", "x"), ("B", "y"))) == "(A=x) -> (B=y)"
+
+
+# every character at which str.splitlines ends a line
+LINE_BREAKS = [c for c in map(chr, range(0x110000)) if len(f"a{c}b".splitlines()) > 1]
+
+
+@pytest.mark.parametrize("brk", LINE_BREAKS, ids=[f"U+{ord(c):04X}" for c in LINE_BREAKS])
+@pytest.mark.parametrize("text", ["a{}b", "a b{}"])  # bare, and quoted
+def test_labels_with_line_breaks_are_not_rendered(brk, text):
+    # rendered, such a label would split its implication across lines and
+    # not parse back
+    label = text.format(brk)
+    for atom in (Atom(label, "Flu"), Atom("Bob", label)):
+        with pytest.raises(ValidationError, match="^cannot render .*: line break$"):
+            str(atom)
+        with pytest.raises(ValidationError, match="line break"):
+            format_knowledge(Knowledge((simple_implication(atom, Atom("Ed", "Flu")),)))

@@ -232,6 +232,15 @@ def test_brute_force_guards(demo_bucketization):
     assert v == 1
 
 
+def test_bucket_values_outside_the_domain_are_refused_before_the_oracle():
+    # the oracle indexes atoms by domain position, so such a bucketization
+    # once made brute_force_max_disclosure fail with an IndexError
+    with pytest.raises(ValidationError, match="value 'x' outside the domain"):
+        brute_force_max_disclosure(
+            Bucketization((make_bucket("b", ["p", "q"], ["x", "y"]),), ("a",)), 0
+        )
+
+
 EMPTY_BRUTE_FORCE = """
 from bucketrisk import Bucketization, ValidationError, brute_force_max_disclosure
 try:

@@ -268,6 +268,15 @@ def test_bucketization_validation():
         one.bucket("nope")
 
 
+def test_bucketization_rejects_values_outside_its_domain():
+    bucket = make_bucket("b", ["p", "q"], ["x", "y"])
+    with pytest.raises(ValidationError, match="^bucket 'b': value 'x' outside the domain$"):
+        Bucketization((bucket,), ("a",))
+    with pytest.raises(ValidationError, match="value 'y' outside"):
+        Bucketization((make_bucket("c", ["r"], ["x"]), bucket), ("x",))
+    assert Bucketization((bucket,), ("x", "y", "z")).domain == ("x", "y", "z")
+
+
 @given(
     st.lists(
         st.sampled_from(["a", "b", "c", "d"]), min_size=1, max_size=12
