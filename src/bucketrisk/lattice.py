@@ -14,14 +14,15 @@ quasi-identifier tuple (a row's values on the hierarchy's attributes)
 into sensitive-value tallies, the bottom node. A node is rolled up from a
 node below it by relabelling that node's group keys and summing the tallies
 of keys that meet (the rollup of Incognito, LeFevre, DeWitt and
-Ramakrishnan, SIGMOD 2005): O(groups) per node instead of O(rows).
+Ramakrishnan, SIGMOD 2005): O(tally entries) per node, not O(rows).
 ``all_minimal_safe`` rolls each node up from an evaluated child, relabelling
 one attribute; ``binary_search_chain`` rolls each node up from the bottom,
 labelling each distinct raw value once per attribute. ``is_safe`` takes the
 resulting count tuples. ``apply`` is what builds buckets with members, and
-it labels rows with the same routine as the bottom rollup. The bottom node
-is tallied by the table module's one tally routine, which ``histograms``
-also uses; ``apply`` and the rollups group with its one grouping routine.
+it labels rows with the same routine as the bottom rollup. The table
+module tallies the bottom node, with the routine ``histograms`` uses, and
+sums tallies for every rollup; ``apply`` buckets rows with the routine
+``partition`` uses.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from typing import Callable, Iterable, Sequence, Union
 from .engine import Engine, Histograms, disclosure_at
 from .errors import BudgetExceededError, ValidationError
 from .table import (Bucketization, Source, Table, Tallies, _bucketize, _count_tuples,
-                    _group_rows, _open_text, _tallies)
+                    _open_text, _regroup, _tallies)
 
 Node = tuple[int, ...]
 
@@ -234,26 +235,13 @@ def _bottom_tallies(table: Table, hierarchy: Hierarchy) -> Tallies:
     return _tallies(table, zip(*_qi_columns(table, hierarchy)))
 
 
-def _regroup(tallies: Tallies, keys: Iterable[tuple[str, ...]]) -> Tallies:
-    """Give each tally a new key, one per old key, and sum those that meet.
-
-    New keys come in the order of their first old key, so tallies grouped in
-    first-row order stay in first-row order.
-    """
-    rows = list(tallies.values())
-    return {
-        key: [sum(column) for column in zip(*(rows[i] for i in group))]
-        for key, group in _group_rows(keys).items()
-    }
-
-
 def _rollup(
     bottom: Tallies, hierarchy: Hierarchy, node: Node
 ) -> list[tuple[int, ...]]:
     """The count tuples of ``apply(table, hierarchy, node)``'s buckets, in order.
 
     Relabels the bottom node's keys and sums the tallies of keys that meet,
-    in O(groups).
+    in time proportional to the tallies' entries.
     """
     return _count_tuples(_regroup(bottom, map(_generalizer(hierarchy, node), bottom)))
 

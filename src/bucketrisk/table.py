@@ -13,8 +13,10 @@ engine, the generalization search) consumes the types defined here.
 The polynomial engine reads only each bucket's histogram, so
 ``histograms`` tallies a grouping's count tuples without building buckets,
 and ``buckets_at`` builds members only for the few buckets a witness names.
-``_tallies`` is the one loop that counts rows into sensitive-value tallies;
-``histograms`` and the generalization search's bottom node both use it.
+``_tallies`` is the one loop that counts rows into sensitive-value tallies,
+for ``histograms`` and the generalization search's bottom node. It,
+``_regroup`` and ``_count_tuples`` alone know a tally's shape: the values
+its rows hold, so its cost follows the rows, not a declared domain.
 ``load_table`` reads the CSV in chunks and keeps one string object per
 distinct value of every non-id column.
 
@@ -31,7 +33,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
 from pathlib import Path
-from typing import ContextManager, Hashable, Iterable, Iterator, Mapping, Sequence, TextIO, Union
+from typing import ContextManager, Iterable, Iterator, Mapping, Sequence, TextIO, Union
 
 from .errors import ValidationError
 
@@ -397,38 +399,44 @@ def buckets_at(
     return [built[i] for i in indices]
 
 
-Tallies = dict[tuple[str, ...], list[int]]
+Tallies = dict[tuple[str, ...], dict[str, int]]
 
 
 def _tallies(table: Table, keys: Iterable[tuple[str, ...]]) -> Tallies:
     """Each distinct key's sensitive-value tally, given one key per row.
 
-    Keys appear in order of their first row; entry i counts ``table.domain[i]``.
+    Keys appear in order of their first row; a tally maps each value its
+    key's rows hold to how many hold it.
     """
-    index = {value: i for i, value in enumerate(table.domain)}
     tallies: Tallies = {}
-    for key, i in zip(keys, map(index.__getitem__, table.sensitive)):
+    for key, value in zip(keys, table.sensitive):
         tally = tallies.get(key)
         if tally is None:
-            tally = tallies[key] = [0] * len(index)
-        tally[i] += 1
+            tally = tallies[key] = {}
+        tally[value] = tally.get(value, 0) + 1
     return tallies
 
 
 def _count_tuples(tallies: Tallies) -> list[tuple[int, ...]]:
-    """Each tally's positive counts, in descending order."""
-    return [tuple(sorted(filter(None, tally), reverse=True)) for tally in tallies.values()]
+    """Each tally's counts, in descending order."""
+    return [tuple(sorted(tally.values(), reverse=True)) for tally in tallies.values()]
 
 
-def _group_rows(keys: Iterable[Hashable]) -> dict[Hashable, list[int]]:
-    """The row indices of each distinct key, given one key per row.
+def _regroup(tallies: Tallies, keys: Iterable[tuple[str, ...]]) -> Tallies:
+    """Give each tally a new key, one per old key, and sum those that meet.
 
-    Keys appear in order of their first row, and each key's rows ascend.
+    New keys come in the order of their first old key, so tallies grouped in
+    first-row order stay in first-row order.
     """
-    groups: dict[Hashable, list[int]] = {}
-    for row, key in enumerate(keys):
-        groups.setdefault(key, []).append(row)
-    return groups
+    regrouped: Tallies = {}
+    for key, tally in zip(keys, tallies.values()):
+        total = regrouped.get(key)
+        if total is None:
+            regrouped[key] = dict(tally)
+        else:
+            for value, count in tally.items():
+                total[value] = total.get(value, 0) + count
+    return regrouped
 
 
 def _buckets(
@@ -441,10 +449,13 @@ def _buckets(
     with "|", and a name already taken by another key gets "+" appended
     until it is unique, so distinct keys never share a bucket.
     """
+    groups: dict[tuple[str, ...], list[int]] = {}
+    for row, key in enumerate(keys):
+        groups.setdefault(key, []).append(row)
     person_ids, values = table.person_ids, table.sensitive
     used: set[str] = set()
     buckets = {}
-    for index, (key, rows) in enumerate(_group_rows(keys).items()):
+    for index, (key, rows) in enumerate(groups.items()):
         bucket_id = "|".join(key)
         while bucket_id in used:
             bucket_id += "+"

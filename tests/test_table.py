@@ -21,7 +21,7 @@ from bucketrisk import (
     read_assignment,
     read_domain,
 )
-from bucketrisk.table import _CHUNK_ROWS
+from bucketrisk.table import _CHUNK_ROWS, _tallies
 from conftest import DATA
 from helpers import random_table_and_hierarchy
 
@@ -323,6 +323,19 @@ def test_histograms_are_partition_counts(seed):
             assert histograms(table, **grouping) == [b.counts for b in expected]
             indices = rng.sample(range(len(expected)), rng.randint(0, len(expected)))
             assert buckets_at(table, indices, **grouping) == [expected[i] for i in indices]
+
+
+def test_tallies_hold_only_the_values_their_rows_hold():
+    # a declared domain far larger than the rows must not size the tallies
+    table = load_table(
+        io.StringIO("G,S\ng,a\nh,a\ng,b\ng,a\n"),
+        "S",
+        extra_domain=[f"x{i}" for i in range(10_000)],
+    )
+    tallies = _tallies(table, zip(table.columns[0]))
+    assert tallies == {("g",): {"a": 2, "b": 1}, ("h",): {"a": 1}}
+    assert list(tallies) == [("g",), ("h",)]  # first-row order
+    assert histograms(table, by=("G",)) == [(2, 1), (1,)]
 
 
 @pytest.mark.parametrize(
