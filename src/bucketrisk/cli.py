@@ -22,7 +22,7 @@ import click
 # so that each command compiles only the layers it uses
 from .engine import disclosure_at, max_disclosure, max_disclosure_negated_atoms
 from .errors import DEFAULT_BUDGET, BucketRiskError, BudgetExceededError, ValidationError
-from .knowledge import Knowledge, parse_atom, parse_knowledge
+from .knowledge import _LINE_BREAKS, Knowledge, parse_atom, parse_knowledge
 from .table import (
     Table,
     buckets_at,
@@ -32,6 +32,9 @@ from .table import (
     read_assignment,
     read_domain,
 )
+
+
+_NODE_DELIMITERS = _LINE_BREAKS | {",", "="}
 
 
 def _fmt(value: Fraction) -> str:
@@ -269,6 +272,12 @@ def anonymize(obj, hierarchy_path, c_text, k, all_minimal, chain_spec):
         raise ValidationError("use exactly one of --all-minimal and --chain")
     table = _load_table(obj)
     hierarchy = load_hierarchy(hierarchy_path)
+    for attribute in hierarchy.attributes:
+        # a node prints as attribute=level pairs joined by ",", one per line
+        if set(attribute) & _NODE_DELIMITERS:
+            raise ValidationError(
+                f"cannot render attribute {attribute!r}: line break, ',' or '='"
+            )
     threshold = SafetyThreshold(_parse_threshold(c_text), k)
 
     def describe(node) -> str:

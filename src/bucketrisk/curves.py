@@ -11,21 +11,24 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Sequence, Union
 
 from .engine import Histograms, disclosure_by_k
 from .errors import ValidationError
-from .table import Source, _csv_reader, entropy
+from .table import Source, _csv_reader, _Frozen, entropy
 
 
-@dataclass(frozen=True)
-class CurvePoint:
-    series: str
-    x: Union[int, float]
-    value: Fraction
+class CurvePoint(_Frozen):
+    """One point of a series: disclosure ``value`` at ``x`` (k, or entropy in bits)."""
+
+    __slots__ = _fields = ("series", "x", "value")
+
+    def __init__(self, series: str, x: Union[int, float], value: Fraction) -> None:
+        object.__setattr__(self, "series", series)
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "value", value)
 
 
 def disclosure_vs_k(histograms: Histograms, k_max: int) -> list[CurvePoint]:
@@ -39,8 +42,7 @@ def disclosure_vs_k(histograms: Histograms, k_max: int) -> list[CurvePoint]:
     return points
 
 
-@dataclass(frozen=True)
-class SkewedSingleBucketFamily:
+class SkewedSingleBucketFamily(_Frozen):
     """Single-bucket family sweeping entropy by skewing one value's count.
 
     Member t (t = 0..per_value) holds per_value + (domain_size-1)*t copies of
@@ -51,10 +53,11 @@ class SkewedSingleBucketFamily:
     guarantee. A member is its count tuple, descending, zero counts dropped.
     """
 
-    domain_size: int
-    per_value: int
+    __slots__ = _fields = ("domain_size", "per_value")
 
-    def __post_init__(self):
+    def __init__(self, domain_size: int, per_value: int):
+        object.__setattr__(self, "domain_size", domain_size)
+        object.__setattr__(self, "per_value", per_value)
         if self.domain_size < 1:
             raise ValidationError("domain_size must be >= 1")
         if self.per_value < 1:

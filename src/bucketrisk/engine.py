@@ -53,13 +53,12 @@ benchmark's traced probe (``perfbench/run.py``) times the engine that way.
 from __future__ import annotations
 
 from contextvars import ContextVar
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
 from .errors import ValidationError
 from .knowledge import Atom, BasicImplication, simple_implication
-from .table import Bucket, Bucketization
+from .table import Bucket, Bucketization, _Frozen
 
 Histograms = Bucketization | Sequence[tuple[int, ...]]
 
@@ -249,8 +248,7 @@ def minimize_within_bucket(
 # Across-buckets dynamic program
 # ============================================================================
 
-@dataclass(frozen=True)
-class Placement:
+class Placement(_Frozen):
     """Where the optimizer put the atoms.
 
     ``atom_counts[i]`` is the number of antecedent atoms assigned to bucket i
@@ -258,8 +256,11 @@ class Placement:
     ``target_bucket``.
     """
 
-    target_bucket: int
-    atom_counts: tuple[int, ...]
+    __slots__ = _fields = ("target_bucket", "atom_counts")
+
+    def __init__(self, target_bucket: int, atom_counts: tuple[int, ...]) -> None:
+        object.__setattr__(self, "target_bucket", target_bucket)
+        object.__setattr__(self, "atom_counts", atom_counts)
 
 
 def _checked_counts(
@@ -483,8 +484,7 @@ def disclosure_at(
 # Reports and the negated-atoms baseline
 # ============================================================================
 
-@dataclass(frozen=True)
-class DisclosureReport:
+class DisclosureReport(_Frozen):
     """Worst-case disclosure with a checkable witness.
 
     ``disclosure`` = 1/(1 + ratio). The witness is exactly k simple
@@ -495,12 +495,24 @@ class DisclosureReport:
     bucket i, the target atom's slot included.
     """
 
-    disclosure: Fraction
-    ratio: Fraction
-    target: Atom
-    antecedents: tuple[Atom, ...]
-    bucket_atom_counts: tuple[int, ...]
-    implications: tuple[BasicImplication, ...]
+    __slots__ = _fields = ("disclosure", "ratio", "target", "antecedents", "bucket_atom_counts",
+                           "implications")
+
+    def __init__(
+        self,
+        disclosure: Fraction,
+        ratio: Fraction,
+        target: Atom,
+        antecedents: tuple[Atom, ...],
+        bucket_atom_counts: tuple[int, ...],
+        implications: tuple[BasicImplication, ...],
+    ) -> None:
+        object.__setattr__(self, "disclosure", disclosure)
+        object.__setattr__(self, "ratio", ratio)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "antecedents", antecedents)
+        object.__setattr__(self, "bucket_atom_counts", bucket_atom_counts)
+        object.__setattr__(self, "implications", implications)
 
 
 def _partition_atoms(

@@ -22,34 +22,81 @@ Identifiers and values containing spaces or punctuation are quoted with ``"``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
 
 from .errors import ParseError, ValidationError
-from .table import Table
+from .table import Table, _Frozen
 
 
-@dataclass(frozen=True, order=True)
-class Atom:
-    """Assertion that ``person``'s sensitive value is ``value``."""
+class Atom(_Frozen):
+    """Assertion that ``person``'s sensitive value is ``value``.
 
-    person: str
-    value: str
+    Atoms order by person, then value. Equality, hashing and ordering are
+    written out, not built from ``_fields``, so that atoms as dict keys and
+    sort keys cost no more than a tuple of their fields does.
+    """
+
+    __slots__ = _fields = ("person", "value")
+
+    def __init__(self, person: str, value: str) -> None:
+        object.__setattr__(self, "person", person)
+        object.__setattr__(self, "value", value)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.person, self.value) == (other.person, other.value)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.person, self.value))
+
+    # > and >= reflect to these
+    def __lt__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.person, self.value) < (other.person, other.value)
+        return NotImplemented
+
+    def __le__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.person, self.value) <= (other.person, other.value)
+        return NotImplemented
 
     def __str__(self) -> str:
         return f"{_quote(self.person)}={_quote(self.value)}"
 
 
-@dataclass(frozen=True, order=True)
-class BasicImplication:
-    """(A_0 & ... & A_{m-1}) -> (B_0 | ... | B_{n-1}), with m >= 1 and n >= 1."""
+class BasicImplication(_Frozen):
+    """(A_0 & ... & A_{m-1}) -> (B_0 | ... | B_{n-1}), with m >= 1 and n >= 1.
 
-    antecedents: tuple[Atom, ...]
-    consequents: tuple[Atom, ...]
+    Implications order by antecedents, then consequents; as on ``Atom``,
+    comparisons and the hash are written out.
+    """
 
-    def __post_init__(self) -> None:
+    __slots__ = _fields = ("antecedents", "consequents")
+
+    def __init__(self, antecedents: tuple[Atom, ...], consequents: tuple[Atom, ...]) -> None:
+        object.__setattr__(self, "antecedents", antecedents)
+        object.__setattr__(self, "consequents", consequents)
         if not self.antecedents or not self.consequents:
             raise ValidationError("implication needs >= 1 antecedent and consequent")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.antecedents, self.consequents) == (other.antecedents, other.consequents)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.antecedents, self.consequents))
+
+    def __lt__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.antecedents, self.consequents) < (other.antecedents, other.consequents)
+        return NotImplemented
+
+    def __le__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.antecedents, self.consequents) <= (other.antecedents, other.consequents)
+        return NotImplemented
 
     @property
     def is_simple(self) -> bool:
@@ -65,11 +112,13 @@ def simple_implication(antecedent: Atom, consequent: Atom) -> BasicImplication:
     return BasicImplication(antecedents=(antecedent,), consequents=(consequent,))
 
 
-@dataclass(frozen=True)
-class Knowledge:
+class Knowledge(_Frozen):
     """A conjunction of basic implications."""
 
-    implications: tuple[BasicImplication, ...] = ()
+    __slots__ = _fields = ("implications",)
+
+    def __init__(self, implications: tuple[BasicImplication, ...] = ()) -> None:
+        object.__setattr__(self, "implications", implications)
 
     def __len__(self) -> int:
         return len(self.implications)

@@ -29,14 +29,13 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence, Union
 
 from .engine import Engine, Histograms, disclosure_at
 from .errors import BudgetExceededError, ValidationError
 from .table import (Bucketization, Source, Table, Tallies, _bucketize, _count_tuples,
-                    _open_text, _regroup, _tallies)
+                    _Frozen, _open_text, _regroup, _tallies)
 
 Node = tuple[int, ...]
 
@@ -46,8 +45,7 @@ SUPPRESSED = "*"
 Level = Union[str, dict]
 
 
-@dataclass(frozen=True)
-class Hierarchy:
+class Hierarchy(_Frozen):
     """Per-attribute generalization levels, level 0 (identity) implicit.
 
     ``levels[attribute]`` holds levels 1..L in order; each entry is a
@@ -55,10 +53,11 @@ class Hierarchy:
     "identity". Attribute order fixes the meaning of node vectors.
     """
 
-    attributes: tuple[str, ...]
-    levels: dict[str, tuple[Level, ...]]
+    __slots__ = _fields = ("attributes", "levels")
 
-    def __post_init__(self):
+    def __init__(self, attributes: tuple[str, ...], levels: dict[str, tuple[Level, ...]]):
+        object.__setattr__(self, "attributes", attributes)
+        object.__setattr__(self, "levels", levels)
         if not self.attributes:
             raise ValidationError("hierarchy needs at least one attribute")
         if set(self.levels) != set(self.attributes):
@@ -270,14 +269,14 @@ def leq(finer: Bucketization, coarser: Bucketization) -> bool:
     return all(len({home[person] for person in b.members}) <= 1 for b in finer.buckets)
 
 
-@dataclass(frozen=True)
-class SafetyThreshold:
+class SafetyThreshold(_Frozen):
     """Disclosure must stay strictly below c against k knowledge units."""
 
-    c: Fraction
-    k: int
+    __slots__ = _fields = ("c", "k")
 
-    def __post_init__(self):
+    def __init__(self, c: Fraction, k: int):
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "k", k)
         if not 0 <= self.c <= 1:
             raise ValidationError("threshold c must be within [0, 1]")
         if self.k < 0:

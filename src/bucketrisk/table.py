@@ -21,6 +21,10 @@ its rows hold, so its cost follows the rows, not a declared domain.
 distinct value of every non-id column.
 
 All types are immutable after construction and safe to share across threads.
+They, and the value types of the other modules, are plain classes on
+``_Frozen``, defined here because every module with a value type imports
+this one. Their methods are written out, so defining them at import
+compiles nothing.
 """
 
 from __future__ import annotations
@@ -29,7 +33,6 @@ import contextlib
 import csv
 import io
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
 from pathlib import Path
@@ -59,8 +62,47 @@ def _csv_reader(source: Source) -> Iterator[Iterator[list[str]]]:
             raise ValidationError(f"malformed CSV at line {reader.line_num}: {exc}") from None
 
 
-@dataclass(frozen=True)
-class Table:
+class _Frozen:
+    """An immutable value with named fields.
+
+    A subclass names its fields in ``_fields`` and sets each one in its
+    ``__init__`` with ``object.__setattr__``; after that, assigning or
+    deleting an attribute raises AttributeError. Two values are equal when
+    they are of one class and have equal fields, a value hashes as its field
+    tuple, its repr names every field, and it pickles and copies by calling
+    its class on its fields. A subclass declares ``__slots__ = _fields``
+    unless it keeps an instance dict for a ``cached_property``.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _astuple(self) -> tuple:
+        return tuple(map(self.__getattribute__, self._fields))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._astuple() == other._astuple()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._astuple())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __reduce__(self):
+        return self.__class__, self._astuple()
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Table(_Frozen):
     """A validated table with one designated sensitive attribute, by column.
 
     Row i is person ``person_ids[i]``, with value ``columns[j][i]`` of
@@ -71,24 +113,25 @@ class Table:
     (used for negation encoding and witness tie-breaking).
     """
 
-    attributes: tuple[str, ...]
-    sensitive_attribute: str
-    person_ids: tuple[str, ...]
-    columns: tuple[tuple[str, ...], ...]
-    sensitive: tuple[str, ...]
-    domain: tuple[str, ...]
+    # no __slots__: the instance dict holds the cached row_of
+    _fields = ("attributes", "sensitive_attribute", "person_ids", "columns", "sensitive",
+               "domain")
 
-    @cached_property
-    def row_of(self) -> dict[str, int]:
-        """Each person's row index."""
-        return {p: i for i, p in enumerate(self.person_ids)}
-
-    @property
-    def records(self) -> tuple[tuple[str, ...], ...]:
-        """The rows as ``(person_id, *attribute values, sensitive)`` tuples."""
-        return tuple(zip(self.person_ids, *self.columns, self.sensitive))
-
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        attributes: tuple[str, ...],
+        sensitive_attribute: str,
+        person_ids: tuple[str, ...],
+        columns: tuple[tuple[str, ...], ...],
+        sensitive: tuple[str, ...],
+        domain: tuple[str, ...],
+    ) -> None:
+        object.__setattr__(self, "attributes", attributes)
+        object.__setattr__(self, "sensitive_attribute", sensitive_attribute)
+        object.__setattr__(self, "person_ids", person_ids)
+        object.__setattr__(self, "columns", columns)
+        object.__setattr__(self, "sensitive", sensitive)
+        object.__setattr__(self, "domain", domain)
         n = len(self.person_ids)
         if len(self.columns) != len(self.attributes) or any(
             len(column) != n for column in (*self.columns, self.sensitive)
@@ -113,9 +156,18 @@ class Table:
                 f"{sorted(observed - set(self.domain))}"
             )
 
+    @cached_property
+    def row_of(self) -> dict[str, int]:
+        """Each person's row index."""
+        return {p: i for i, p in enumerate(self.person_ids)}
 
-@dataclass(frozen=True)
-class Bucket:
+    @property
+    def records(self) -> tuple[tuple[str, ...], ...]:
+        """The rows as ``(person_id, *attribute values, sensitive)`` tuples."""
+        return tuple(zip(self.person_ids, *self.columns, self.sensitive))
+
+
+class Bucket(_Frozen):
     """One bucket: members plus the histogram of their sensitive values.
 
     The histogram is sorted by count descending, ties broken by value
@@ -123,11 +175,14 @@ class Bucket:
     Indices past the number of distinct values have an implicit count of 0.
     """
 
-    bucket_id: str
-    members: tuple[str, ...]
-    histogram: tuple[tuple[str, int], ...]
+    __slots__ = _fields = ("bucket_id", "members", "histogram")
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self, bucket_id: str, members: tuple[str, ...], histogram: tuple[tuple[str, int], ...]
+    ) -> None:
+        object.__setattr__(self, "bucket_id", bucket_id)
+        object.__setattr__(self, "members", members)
+        object.__setattr__(self, "histogram", histogram)
         if not self.members:
             raise ValidationError(f"bucket {self.bucket_id!r} is empty")
         counts = [c for _, c in self.histogram]
@@ -172,18 +227,19 @@ def make_bucket(bucket_id: str, members: Sequence[str], values: Sequence[str]) -
     return Bucket(bucket_id=bucket_id, members=tuple(members), histogram=histogram)
 
 
-@dataclass(frozen=True)
-class Bucketization:
+class Bucketization(_Frozen):
     """An ordered list of buckets partitioning a person set.
 
     ``domain`` carries the sensitive domain so downstream consumers can form
     atoms about values that happen to be absent from every bucket.
     """
 
-    buckets: tuple[Bucket, ...]
-    domain: tuple[str, ...]
+    # no __slots__: the instance dict holds the cached bucket_of and by_id
+    _fields = ("buckets", "domain")
 
-    def __post_init__(self) -> None:
+    def __init__(self, buckets: tuple[Bucket, ...], domain: tuple[str, ...]) -> None:
+        object.__setattr__(self, "buckets", buckets)
+        object.__setattr__(self, "domain", domain)
         seen: set[str] = set()
         ids: set[str] = set()
         domain = set(self.domain)

@@ -1,4 +1,5 @@
 import io
+import json
 import random
 from fractions import Fraction
 
@@ -165,6 +166,23 @@ def test_witness_with_a_line_break_in_an_id_exits_2(runner, tmp_path):
     assert r.exit_code == 2
     assert r.stdout == ""
     assert r.stderr == "error: cannot render 'Al\\nBo': line break\n"
+
+
+@pytest.mark.parametrize("char", ["\n", "\r", ",", "="], ids=["LF", "CR", "comma", "equals"])
+def test_anonymize_attribute_name_that_would_split_a_node_exits_2(runner, tmp_path, char):
+    # printed, the node vector would split across lines or read ambiguously;
+    # the node Z?ip=0 is safe, so the search alone would print it
+    name = f"Z{char}ip"
+    (tmp_path / "t.csv").write_text(f'id,"{name}",S\np0,a,s\np1,a,t\n', encoding="utf-8")
+    (tmp_path / "h.json").write_text(json.dumps({name: ["suppress"]}), encoding="utf-8")
+    r = runner.invoke(main, [
+        "--table", str(tmp_path / "t.csv"), "--sensitive", "S", "--id", "id",
+        "anonymize", "--hierarchy", str(tmp_path / "h.json"), "--c", "1", "--k", "0",
+        "--all-minimal",
+    ])
+    assert r.exit_code == 2
+    assert r.stdout == ""
+    assert r.stderr == f"error: cannot render attribute {name!r}: line break, ',' or '='\n"
 
 
 SEARCH_FAILURES = {

@@ -20,6 +20,8 @@ CORE = {"bucketrisk.errors", "bucketrisk.table", "bucketrisk.knowledge", "bucket
 DEFERRED = {"bucketrisk.lattice", "bucketrisk.oracle", "bucketrisk.curves"}
 TABLE_ARGS = ["--table", str(DATA / "clinic.csv"), "--sensitive", "Disease", "--id", "Name"]
 HIERARCHY = str(DATA / "clinic-hierarchy.json")
+# stdlib modules the package does not use; each costs start-up time
+UNUSED = {"dataclasses", "inspect"}
 
 # Runs the command line as the installed `bucketrisk` script, then appends the
 # bucketrisk submodules it loaded to stderr, whatever the exit code.
@@ -35,8 +37,10 @@ finally:
 
 
 def loaded_after(code: str) -> set[str]:
-    """The bucketrisk submodules a fresh interpreter holds after running ``code``."""
-    report = 'print(*sorted(m for m in sys.modules if m.startswith("bucketrisk.")))'
+    """The bucketrisk submodules and ``UNUSED`` modules that a fresh
+    interpreter holds after running ``code``."""
+    report = (f'print(*sorted(m for m in sys.modules if m.startswith("bucketrisk.")'
+              f' or m in {sorted(UNUSED)!r}))')
     result = subprocess.run([sys.executable, "-c", f"import sys\n{code}\n{report}"],
                             capture_output=True, text=True, env=child_env(), check=True)
     return set(result.stdout.split())
@@ -56,6 +60,25 @@ def test_import_loads_only_the_core_layers(code):
     loaded = loaded_after(code)
     assert CORE <= loaded
     assert not loaded & DEFERRED
+    # click imports inspect itself
+    assert not loaded & (UNUSED - {"inspect"} if code.endswith(".cli") else UNUSED)
+
+
+@pytest.mark.parametrize(
+    "code",
+    [
+        "import bucketrisk\nbucketrisk.lattice",
+        "import bucketrisk\nbucketrisk.oracle",
+        "import bucketrisk\nbucketrisk.curves",
+        "from bucketrisk import lattice, table",
+        "from bucketrisk import engine, knowledge, oracle, table",
+    ],
+    ids=["lattice", "oracle", "curves", "lattice-table", "engine-knowledge-oracle-table"],
+)
+def test_library_layers_load_no_unused_stdlib_module(code):
+    loaded = loaded_after(code)
+    assert DEFERRED & loaded
+    assert not loaded & UNUSED
 
 
 @pytest.mark.parametrize(
