@@ -316,6 +316,7 @@ def curve_k(obj, k_max, group_by, sample, seed):
 
     table = _load_table(obj)
     _check_work(obj, 2 * (k_max + 1), "output row count")
+    dropped: set[str] = set()
     if sample is not None:
         if not 0 < sample <= 1:
             raise ValidationError("--sample must be in (0, 1]")
@@ -324,10 +325,16 @@ def curve_k(obj, k_max, group_by, sample, seed):
         n = len(table.person_ids)
         rows = random.Random(seed).sample(range(n), max(1, round(sample * n)))
         pick = lambda column: tuple(column[i] for i in rows)
-        columns = tuple(map(pick, table.columns))
-        table = Table(table.attributes, table.sensitive_attribute, pick(table.person_ids),
+        columns, person_ids = tuple(map(pick, table.columns)), pick(table.person_ids)
+        dropped = set(table.person_ids).difference(person_ids)
+        table = Table(table.attributes, table.sensitive_attribute, person_ids,
                       columns, pick(table.sensitive), table.domain)
-    _emit_points(obj, disclosure_vs_k(histograms(table, **_grouping(obj, group_by)), k_max))
+    grouping = _grouping(obj, group_by)
+    if dropped and "assignment" in grouping:
+        # --partition names the whole table's persons: forget those not sampled
+        assignment = grouping["assignment"]
+        grouping["assignment"] = {p: b for p, b in assignment.items() if p not in dropped}
+    _emit_points(obj, disclosure_vs_k(histograms(table, **grouping), k_max))
 
 
 @main.command("curve-entropy")

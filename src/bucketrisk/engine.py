@@ -25,7 +25,8 @@ come from the at most k + 1 buckets it names, ``disclosure_by_k`` the whole
 row and ``disclosure_at`` entry k alone. All three take count tuples, so a
 caller need not build buckets for them. With d_min the fewest
 distinct values in any bucket, both knowledge classes disclose exactly 1 from
-k = d_min - 1 on, so the last two sweep at most to d_min - 1 and give 1 past it.
+k = d_min - 1 on, so the last two sweep at most to d_min - 2 and give 1 from
+d_min - 1 on.
 
 The sweep runs from the last bucket to the first and fills a bucket's
 within-bucket minima only as far as its scans read them: past the first zero
@@ -455,12 +456,13 @@ def disclosure_by_k(
     first equals ``max_disclosure(bucketization, k).disclosure`` and of the
     second ``max_disclosure_negated_atoms(bucketization, k)``, but one
     across-bucket sweep serves every k, no witness is built, and no column
-    past saturation (k = d_min - 1, where both classes reach 1) is computed.
+    from saturation on (k = d_min - 1, where both classes reach 1) is
+    computed: with d_min = 1 nothing is swept.
     """
     histograms, saturation = _checked_counts(histograms, k_max, "k_max")
-    cap = min(k_max, saturation)
+    cap = min(k_max, saturation - 1)
     saturated = [Fraction(1)] * (k_max - cap)
-    row = _across_sweep(histograms, cap, _session(engine))[0]
+    row = _across_sweep(histograms, cap, _session(engine))[0] if cap >= 0 else []
     implications = [Fraction(d, n + d) for n, d in row]
     return implications + saturated, _negated_atoms_series(histograms, cap) + saturated
 

@@ -22,7 +22,7 @@ Identifiers and values containing spaces or punctuation are quoted with ``"``.
 
 from __future__ import annotations
 
-from typing import Iterator, Mapping, Sequence
+from typing import Container, Iterable, Iterator, Mapping, Sequence
 
 from .errors import ParseError, ValidationError
 from .table import Table, _Frozen
@@ -322,15 +322,22 @@ def parse_knowledge(text: str, table: Table | None = None) -> Knowledge:
 
 
 def validate_knowledge(knowledge: Knowledge, table: Table) -> None:
-    for atom in knowledge.atoms():
-        validate_atom(atom, table)
+    _check_atoms(knowledge.atoms(), table.row_of, table.domain)
 
 
 def validate_atom(atom: Atom, table: Table) -> None:
-    if atom.person not in table.row_of:
-        raise ValidationError(f"unknown person {atom.person!r}")
-    if atom.value not in table.domain:
-        raise ValidationError(f"unknown sensitive value {atom.value!r}")
+    _check_atoms((atom,), table.row_of, table.domain)
+
+
+def _check_atoms(atoms: Iterable[Atom], persons: Container[str], domain: Iterable[str]) -> None:
+    """Raise for the first atom whose person is not in ``persons`` or whose
+    value is not in ``domain``, checking the person first."""
+    domain = set(domain)
+    for atom in atoms:
+        if atom.person not in persons:
+            raise ValidationError(f"unknown person {atom.person!r}")
+        if atom.value not in domain:
+            raise ValidationError(f"unknown sensitive value {atom.value!r}")
 
 
 def format_knowledge(knowledge: Knowledge) -> str:

@@ -45,18 +45,36 @@ SUPPRESSED = "*"
 Level = Union[str, dict]
 
 
+class _ReadOnlyDict(dict):
+    """A dict that refuses every change; it pickles and copies as a dict does."""
+
+    __slots__ = ()
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError(f"{self.__class__.__name__} does not support changes")
+
+    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _refuse
+
+    def __reduce__(self):
+        return self.__class__, (dict(self),)
+
+
 class Hierarchy(_Frozen):
     """Per-attribute generalization levels, level 0 (identity) implicit.
 
     ``levels[attribute]`` holds levels 1..L in order; each entry is a
     raw-to-label dict, the keyword "suppress" (everything becomes "*"), or
-    "identity". Attribute order fixes the meaning of node vectors.
+    "identity". Attribute order fixes the meaning of node vectors. The
+    constructor keeps read-only copies of ``levels`` and its maps, so no
+    later change can undo its checks.
     """
 
     __slots__ = _fields = ("attributes", "levels")
 
     def __init__(self, attributes: tuple[str, ...], levels: dict[str, tuple[Level, ...]]):
         object.__setattr__(self, "attributes", attributes)
+        copy = lambda level: _ReadOnlyDict(level) if isinstance(level, dict) else level
+        levels = _ReadOnlyDict((a, tuple(map(copy, declared))) for a, declared in levels.items())
         object.__setattr__(self, "levels", levels)
         if not self.attributes:
             raise ValidationError("hierarchy needs at least one attribute")
@@ -162,31 +180,25 @@ def load_hierarchy(source: Source) -> Hierarchy:
         raise ValidationError(f"hierarchy is not valid JSON: {exc}") from None
     if not isinstance(data, dict) or not data:
         raise ValidationError("hierarchy must be a non-empty JSON object")
-    levels: dict[str, tuple[Level, ...]] = {}
     for attribute, declared in data.items():
         if not isinstance(declared, list):
             raise ValidationError(
                 f"attribute {attribute!r}: expected a list of levels"
             )
-        cleaned: list[Level] = []
         for index, level in enumerate(declared, start=1):
-            if level in ("suppress", "identity"):
-                cleaned.append(level)
-            elif isinstance(level, dict):
+            if isinstance(level, dict):
                 for raw, label in level.items():
                     if not isinstance(raw, str) or not isinstance(label, str):
                         raise ValidationError(
                             f"attribute {attribute!r} level {index}: raw values "
                             "and labels must be strings"
                         )
-                cleaned.append(dict(level))
-            else:
+            elif level not in ("suppress", "identity"):
                 raise ValidationError(
                     f"attribute {attribute!r} level {index}: expected a map, "
                     "'suppress', or 'identity'"
                 )
-        levels[attribute] = tuple(cleaned)
-    return Hierarchy(tuple(data), levels)
+    return Hierarchy(tuple(data), data)
 
 
 def _qi_columns(table: Table, hierarchy: Hierarchy) -> list[tuple[str, ...]]:
@@ -263,7 +275,7 @@ def _step(
 
 def leq(finer: Bucketization, coarser: Bucketization) -> bool:
     """True iff every coarser bucket is a union of finer buckets."""
-    if finer.person_ids != coarser.person_ids:
+    if finer.bucket_of.keys() != coarser.bucket_of.keys():
         raise ValidationError("bucketizations cover different person sets")
     home = coarser.bucket_of
     return all(len({home[person] for person in b.members}) <= 1 for b in finer.buckets)

@@ -37,6 +37,7 @@ from .knowledge import (
     Atom,
     BasicImplication,
     Knowledge,
+    _check_atoms,
     knowledge_holds,
     negation_as_implication,
     simple_implication,
@@ -60,16 +61,6 @@ def world_count(bucketization: Bucketization) -> int:
     return total
 
 
-def _validate_atoms(bucketization: Bucketization, atoms: Iterable[Atom]) -> None:
-    persons = bucketization.person_ids
-    domain = set(bucketization.domain)
-    for a in atoms:
-        if a.person not in persons:
-            raise ValidationError(f"unknown person {a.person!r}")
-        if a.value not in domain:
-            raise ValidationError(f"unknown sensitive value {a.value!r}")
-
-
 # ============================================================================
 # Posteriors
 # ============================================================================
@@ -79,34 +70,30 @@ def _mentioned_sequences(bucket: Bucket, q: int) -> list[tuple[tuple[str, ...], 
 
     The weight of a partial assignment is the number of distinct ways to
     assign the remaining multiset to the remaining members:
-    (n_b - q)! / prod_s (remaining count of s)!. With q = n_b these are the
-    bucket's distinct full assignments, each of weight 1. Sequences come out
-    in lexicographic value order, which keeps every downstream enumeration
-    deterministic.
+    (n_b - q)! / prod_s (remaining count of s)!, or (n_b - q)! * taken /
+    prod_s c_s!, where ``taken`` is the product of the counts the walk took
+    values from. With q = n_b these are the bucket's distinct full
+    assignments, each of weight 1. Sequences come out in lexicographic value
+    order, which keeps every downstream enumeration deterministic.
     """
     remaining = dict(sorted(bucket.histogram))
     base = math.factorial(bucket.size - q)
+    whole = math.prod(map(math.factorial, bucket.counts))
     out: list[tuple[tuple[str, ...], int]] = []
     seq: list[str] = []
 
-    def weight() -> int:
-        w = base
-        for c in remaining.values():
-            w //= math.factorial(c)
-        return w
-
-    def rec() -> None:
+    def rec(taken: int) -> None:
         if len(seq) == q:
-            out.append((tuple(seq), weight()))
+            out.append((tuple(seq), base * taken // whole))
             return
         for v, c in remaining.items():
             if c:
                 remaining[v] = c - 1
                 seq.append(v)
-                rec()
+                rec(taken * c)
                 seq.pop()
                 remaining[v] = c
-    rec()
+    rec(1)
     return out
 
 
@@ -186,7 +173,7 @@ def exact_posterior(
     Raises InconsistentKnowledgeError when no world satisfies the knowledge
     and BudgetExceededError when the enumeration would exceed ``budget``.
     """
-    _validate_atoms(bucketization, [*knowledge.atoms(), target])
+    _check_atoms([*knowledge.atoms(), target], bucketization.bucket_of, bucketization.domain)
     num, den, _ = _posterior_projected(bucketization, knowledge, target, budget)
     if den == 0:
         raise InconsistentKnowledgeError(
@@ -202,7 +189,7 @@ def knowledge_probability(
     budget: int = DEFAULT_BUDGET,
 ) -> Fraction:
     """Pr(knowledge | bucketization): the weight fraction of satisfying worlds."""
-    _validate_atoms(bucketization, knowledge.atoms())
+    _check_atoms(knowledge.atoms(), bucketization.bucket_of, bucketization.domain)
     _, den, total = _posterior_projected(bucketization, knowledge, None, budget)
     return Fraction(den, total)
 

@@ -173,9 +173,11 @@ class Bucket(_Frozen):
     The histogram is sorted by count descending, ties broken by value
     ascending, so index j gives the j-th most frequent value deterministically.
     Indices past the number of distinct values have an implicit count of 0.
+    ``counts`` (not a field) holds the histogram's counts.
     """
 
-    __slots__ = _fields = ("bucket_id", "members", "histogram")
+    _fields = ("bucket_id", "members", "histogram")
+    __slots__ = (*_fields, "counts")
 
     def __init__(
         self, bucket_id: str, members: tuple[str, ...], histogram: tuple[tuple[str, int], ...]
@@ -185,7 +187,8 @@ class Bucket(_Frozen):
         object.__setattr__(self, "histogram", histogram)
         if not self.members:
             raise ValidationError(f"bucket {self.bucket_id!r} is empty")
-        counts = [c for _, c in self.histogram]
+        counts = tuple(c for _, c in self.histogram)
+        object.__setattr__(self, "counts", counts)
         if sum(counts) != len(self.members):
             raise ValidationError(
                 f"bucket {self.bucket_id!r}: histogram does not cover members"
@@ -198,10 +201,6 @@ class Bucket(_Frozen):
     @property
     def size(self) -> int:
         return len(self.members)
-
-    @property
-    def counts(self) -> tuple[int, ...]:
-        return tuple(c for _, c in self.histogram)
 
     def count(self, value: str) -> int:
         for v, c in self.histogram:

@@ -390,9 +390,34 @@ def test_curve_k_sampled(runner):
     )
 
 
+def test_curve_k_sampled_with_partition_drops_the_persons_not_sampled(runner, tmp_path):
+    pre = ("--partition", str(DATA / "clinic-partition.tsv"))
+    args = ("curve-k", "--k-max", "2", "--sample", "0.5", "--seed", "7")
+    # the file splits the clinic by Sex, so the sample that seed 7 keeps
+    # (Gloria, Dave, Hannah, Karen and Bob) gives the --group-by Sex curve
+    r = invoke(runner, *args, pre=pre)
+    assert (r.exit_code, r.stderr) == (0, "")
+    assert r.stdout == invoke(runner, *args, "--group-by", "Sex").stdout
+    assert r.stdout.splitlines()[1:3] == [
+        "implications,0,2,3,0.6666666666666666",
+        "implications,1,1,1,1.0",
+    ]
+    # a sampled person the file leaves out, or a person the table lacks,
+    # is still an error
+    lines = (DATA / "clinic-partition.tsv").read_text().splitlines()
+    for edit, message in (
+        ([line for line in lines if not line.startswith("Bob\t")], "missing person(s) ['Bob']"),
+        ([*lines, "Zed\tM"], "names unknown person(s) ['Zed']"),
+    ):
+        (tmp_path / "p.tsv").write_text("\n".join(edit) + "\n")
+        r = invoke(runner, *args, pre=("--partition", str(tmp_path / "p.tsv")))
+        assert (r.exit_code, r.stdout) == (2, "")
+        assert r.stderr == f"error: assignment {message}\n"
+
+
 def test_curve_k_large_k_max_stops_at_saturation(runner, demo_bucketization):
     # the Sex buckets have 3 and 4 distinct values, so both series are 1 from
-    # k = 2 on and the across sweep needs only columns 0..2
+    # k = 2 on and the across sweep needs only columns 0..1
     r = invoke(runner, "curve-k", "--k-max", "6000", "--group-by", "Sex")
     assert r.exit_code == 0
     lines = r.stdout.splitlines()
@@ -402,11 +427,11 @@ def test_curve_k_large_k_max_stops_at_saturation(runner, demo_bucketization):
         if int(k) >= 2:
             assert value == "1,1,1.0", line
     buckets = demo_bucketization.buckets
-    cap = min(len(b.histogram) for b in buckets) - 1
-    assert cap == 2
+    cap = min(len(b.histogram) for b in buckets) - 2
+    assert cap == 1
     session = Engine()
     disclosure_by_k(demo_bucketization, 6000, engine=session)
-    assert session.across_entries <= 2 * len(buckets) * (cap + 1)
+    assert session.across_entries == 2 * len(buckets) * (cap + 1)
 
 
 def test_curve_entropy(runner):
@@ -465,21 +490,29 @@ def _fmt(value):
 def _reference(table, grouping, argv):
     """Exit code, stdout and stderr of a disclose or curve-k command, rendered
     from ``max_disclosure``, ``max_disclosure_negated_atoms`` or
-    ``disclosure_vs_k`` on ``partition``'s bucketization."""
+    ``disclosure_vs_k`` on ``partition``'s bucketization. A sampled curve-k
+    partitions by the assignment without the persons the sample dropped."""
     try:
         if argv[0] == "curve-k":
             opts = dict(zip(argv[1::2], argv[2::2]))
+            dropped = set()
             if "--sample" in opts:
                 n = len(table.person_ids)
                 rows = random.Random(int(opts["--seed"])).sample(
                     range(n), max(1, round(float(opts["--sample"]) * n))
                 )
                 pick = lambda column: tuple(column[i] for i in rows)
+                dropped = set(table.person_ids) - set(pick(table.person_ids))
                 table = Table(table.attributes, table.sensitive_attribute,
                               pick(table.person_ids), tuple(map(pick, table.columns)),
                               pick(table.sensitive), table.domain)
+            chosen = grouping()
+            if "assignment" in chosen:
+                chosen["assignment"] = {
+                    p: b for p, b in chosen["assignment"].items() if p not in dropped
+                }
             out = io.StringIO()
-            emit_csv(disclosure_vs_k(partition(table, **grouping()), int(opts["--k-max"])), out)
+            emit_csv(disclosure_vs_k(partition(table, **chosen), int(opts["--k-max"])), out)
             return 0, out.getvalue(), ""
         b13n = partition(table, **grouping())
         k = int(argv[2])

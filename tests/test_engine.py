@@ -552,11 +552,23 @@ def test_disclosure_at_matches_the_other_readers(histograms, k):
     for form in (b, histograms):
         assert disclosure_at(form, k) == expected == disclosure_by_k(form, k)[0][k]
         if k >= min(map(len, histograms)) - 1:
-            # saturated: the answer is 1 and no sweep runs, where a capped
-            # disclosure_by_k row would still sweep up to d_min - 1
+            # saturated: the answer is 1 and no sweep runs, where
+            # disclosure_by_k still sweeps the columns below d_min - 1
             session = Engine()
             assert disclosure_at(form, k, engine=session) == 1
             assert session.across_entries == 0 and session.histograms == 0
+
+
+@given(histograms=_histograms, k_max=st.integers(0, 15))
+@settings(max_examples=150, deadline=None)
+def test_disclosure_by_k_sweeps_no_column_known_to_be_1(histograms, k_max):
+    # both series are 1 from k = d_min - 1 on, so the sweep stops at d_min - 2
+    cap = min(k_max, min(map(len, histograms)) - 2)
+    session = Engine()
+    implications, negations = disclosure_by_k(histograms, k_max, engine=session)
+    assert session.across_entries == 2 * len(histograms) * (cap + 1)
+    assert (session.histograms == 0) == (cap < 0)
+    assert implications[cap + 1:] == negations[cap + 1:] == [1] * (k_max - cap)
 
 
 def test_no_module_but_the_engine_holds_its_private_functions():

@@ -123,6 +123,29 @@ def test_apply_requires_table_attributes(demo_table):
         apply(demo_table, h, (1,))
 
 
+def test_hierarchy_levels_cannot_be_changed_after_its_checks():
+    # ("suppress", "identity") fails the refinement check, so it must not
+    # get in by assignment either
+    h = Hierarchy(("Sex",), {"Sex": ("suppress",)})
+    with pytest.raises(TypeError):
+        h.levels["Sex"] = ("suppress", "identity")
+    assert h.max_level("Sex") == 1
+    with pytest.raises(ValidationError, match="split apart at level 2"):
+        Hierarchy(("Sex",), {"Sex": ("suppress", "identity")})
+
+
+def test_hierarchy_keeps_its_own_copy_of_the_callers_maps():
+    sex = {"M": "*", "F": "*"}
+    levels = {"Sex": (sex,)}
+    h = Hierarchy(("Sex",), levels)
+    sex["M"] = "M"
+    levels["Sex"] = ("identity",)
+    assert h.label("Sex", 1, "M") == "*"
+    assert h.levels == {"Sex": ({"M": "*", "F": "*"},)}
+    with pytest.raises(TypeError):
+        h.levels["Sex"][0]["M"] = "M"
+
+
 def test_leq(demo_table, demo_hierarchy, demo_bucketization):
     singletons = apply(demo_table, demo_hierarchy, (0, 0, 0))
     merged = apply(demo_table, demo_hierarchy, (1, 1, 1))

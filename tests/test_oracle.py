@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 import subprocess
 import sys
 from fractions import Fraction
@@ -28,6 +29,7 @@ from bucketrisk.oracle import (
     COMMON_CONSEQUENT,
     NEGATED_ATOMS,
     SIMPLE,
+    _mentioned_sequences,
     _posterior_projected,
     _projected_size,
     brute_force_max_disclosure,
@@ -126,6 +128,18 @@ def test_projected_size_counts_sequences(values, q):
     b = Bucketization((make_bucket("b", members, values),), tuple("abc"))
     expected = len(set(itertools.permutations(values, q)))
     assert _projected_size(b, set(members[:q])) == expected
+
+
+@given(values=st.lists(st.sampled_from("abcd"), min_size=1, max_size=7))
+def test_sequence_weights_count_the_completions_of_each_prefix(values):
+    bucket = make_bucket("b", [f"p{i}" for i in range(len(values))], values)
+    worlds = set(itertools.permutations(values))
+    for q in range(len(values) + 1):
+        sequences = _mentioned_sequences(bucket, q)
+        # the weights sum to n_b! / prod_s c_s!, the bucket's world count
+        assert sum(weight for _, weight in sequences) == len(worlds)
+        completions = Counter(world[:q] for world in worlds)
+        assert sequences == sorted(completions.items())
 
 
 def random_knowledge(rng, bucketization, max_impls=2):
