@@ -81,17 +81,9 @@ def handles_errors(fn):
 )
 @click.option("--out", "out_path", type=click.Path(), help="write output here instead of stdout")
 @click.pass_context
-def main(ctx, table_path, sensitive, id_column, partition_path, domain_path, budget, out_path):
+def main(ctx, **options):
     """Worst-case disclosure of sensitive values in bucketized tables."""
-    ctx.obj = {
-        "table_path": table_path,
-        "sensitive": sensitive,
-        "id_column": id_column,
-        "partition_path": partition_path,
-        "domain_path": domain_path,
-        "budget": budget,
-        "out_path": out_path,
-    }
+    ctx.obj = options
 
 
 def _load_table(obj) -> Table:
@@ -160,10 +152,12 @@ def disclose(obj, k, knowledge_class, witness, group_by):
         value = max_disclosure_negated_atoms(counts, k)
         lines.append(f"disclosure: {_fmt(value)}")
     else:
-        # across-bucket cells, plus within-bucket states per distinct histogram
-        side = max(k, 0) + 1
-        states = sum(min(sum(c), side) for c in set(counts))
-        _check_work(obj, (len(counts) + states) * side * side, "DP cell count")
+        # from k = d_min - 1 on, disclosure_at answers 1 without a sweep
+        if witness or k < min(map(len, counts)) - 1:
+            # across-bucket cells, plus within-bucket states per distinct histogram
+            side = max(k, 0) + 1
+            states = sum(min(sum(c), side) for c in set(counts))
+            _check_work(obj, (len(counts) + states) * side * side, "DP cell count")
         if not witness:
             lines.append(f"disclosure: {_fmt(disclosure_at(counts, k))}")
         else:

@@ -17,11 +17,14 @@ File grammar (one implication per line, ``#`` starts a comment):
     disj := atom (('|'|'OR') atom)*
     atom := ident '=' value
 
-Identifiers and values containing spaces or punctuation are quoted with ``"``.
+An ident or value is a bare word (``_WORD``: no blank, tab, ``#``, ``"``,
+``(``, ``)``, ``=``, ``&`` or ``|``, and no ``->``) other than the keywords
+``AND`` and ``OR``, or any text without ``"`` quoted with ``"``.
 """
 
 from __future__ import annotations
 
+import re
 from typing import Container, Iterable, Iterator, Mapping, Sequence
 
 from .errors import ParseError, ValidationError
@@ -186,20 +189,20 @@ def negation_as_implication(atom: Atom, domain: Sequence[str]) -> BasicImplicati
 # Parsing
 # ============================================================================
 
-_SPECIAL = set(' \t()=&|"#')
 # every character at which str.splitlines, and so the parser, ends a line
 _LINE_BREAKS = set("\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029")
+# a bare word, as the module docstring states it
+_WORD = re.compile(r'(?:[^ \t#"()=&|-]|-(?!>))+')
+# blanks, a comment to the end of the text, a quoted word (its closing quote
+# captured), '->' or punctuation, a word; every character starts one of these
+_TOKEN = re.compile(rf'[ \t]+|#.*|"([^"]*)(")?|(->|[()=&|])|({_WORD.pattern})', re.S)
+_KEYWORDS = {"AND": "&", "OR": "|"}
 
 
 def _quote(text: str) -> str:
     if set(text) & _LINE_BREAKS:
         raise ValidationError(f"cannot render {text!r}: line break")
-    if (
-        text
-        and not (set(text) & _SPECIAL)
-        and "->" not in text
-        and text not in ("AND", "OR")  # bare, these read as keywords
-    ):
+    if _WORD.fullmatch(text) and text not in _KEYWORDS:  # bare, AND and OR are keywords
         return text
     if '"' in text:
         raise ValidationError(f"cannot render {text!r}: embedded quote")
@@ -209,39 +212,17 @@ def _quote(text: str) -> str:
 def _tokenize(line: str, lineno: int) -> list[tuple[str, str, int]]:
     """Split a line into (kind, text, column) tokens; kind 'word' covers idents."""
     tokens: list[tuple[str, str, int]] = []
-    i, n = 0, len(line)
-    while i < n:
-        c = line[i]
-        if c in " \t":
-            i += 1
-        elif c == "#":
-            break
-        elif c == '"':
-            j = line.find('"', i + 1)
-            if j < 0:
-                raise ParseError("unterminated quote", lineno, i + 1)
-            tokens.append(("word", line[i + 1 : j], i + 1))
-            i = j + 1
-        elif c in "()=&|":
-            tokens.append((c, c, i + 1))
-            i += 1
-        elif c == "-" and line[i + 1 : i + 2] == ">":
-            tokens.append(("->", "->", i + 1))
-            i += 2
-        else:
-            j = i
-            while j < n and line[j] not in _SPECIAL and not (
-                line[j] == "-" and line[j + 1 : j + 2] == ">"
-            ):
-                j += 1
-            word = line[i:j]
-            if word == "AND":
-                tokens.append(("&", word, i + 1))
-            elif word == "OR":
-                tokens.append(("|", word, i + 1))
-            else:
-                tokens.append(("word", word, i + 1))
-            i = j
+    for match in _TOKEN.finditer(line):
+        quoted, closed, punctuation, word = match.groups()
+        column = match.start() + 1
+        if punctuation:
+            tokens.append((punctuation, punctuation, column))
+        elif word:
+            tokens.append((_KEYWORDS.get(word, "word"), word, column))
+        elif closed:
+            tokens.append(("word", quoted, column))
+        elif quoted is not None:
+            raise ParseError("unterminated quote", lineno, column)
     return tokens
 
 

@@ -340,7 +340,6 @@ def brute_force_max_disclosure(
     kind: str = SIMPLE,
     *,
     budget: int = DEFAULT_BUDGET,
-    max_k: int = 3,
 ) -> tuple[Fraction, Knowledge, Atom]:
     """Exhaustive maximum of the posterior over a restricted knowledge family.
 
@@ -351,16 +350,14 @@ def brute_force_max_disclosure(
     witness (by target atom, then sorted implication list), least among the
     formulas with no removable conjunct: a conjunct that leaves the world set
     unchanged is never part of a reported witness. The witness does not
-    depend on the order of ``bucketization.domain``. Exponential by design;
-    k must not exceed ``max_k``, and both the world count and the number of
-    conjunctions to search (sum over j <= k of C(n, j) for the n distinct
-    implications, summed over consequents for ``simple-common-consequent``)
-    must fit ``budget``.
+    depend on the order of ``bucketization.domain``. Exponential by design:
+    any k is accepted, and both the world count and the number of
+    conjunctions to search (sum over j <= min(k, n) of C(n, j) for the n
+    distinct implications, summed over consequents for
+    ``simple-common-consequent``) must fit ``budget``.
     """
     if k < 0:
         raise ValidationError("k must be non-negative")
-    if k > max_k:
-        raise ValidationError(f"k={k} exceeds max_k={max_k}; raise max_k to insist")
     if not bucketization.buckets:
         raise ValidationError("empty bucketization")
     wc = world_count(bucketization)
@@ -387,7 +384,7 @@ def brute_force_max_disclosure(
         raise ValidationError(f"unknown search family {kind!r}")
     searches = [_dedup_implications(pairs, atoms, masks, full) for pairs in groups]
     count = sum(
-        math.comb(len(items), j) for items in searches for j in range(k + 1)
+        math.comb(len(items), j) for items in searches for j in range(min(k, len(items)) + 1)
     )
     if count > budget:
         raise BudgetExceededError(count, budget, "search conjunction count")

@@ -452,7 +452,7 @@ def test_curve_entropy(runner):
 
 
 HUGE = {
-    "disclose": [*TABLE_ARGS, "disclose", "--k", "100000000", "--group-by", "Sex"],
+    "disclose": [*TABLE_ARGS, "disclose", "--k", "100000000", "--group-by", "Sex", "--witness"],
     "curve-k": [*TABLE_ARGS, "curve-k", "--k-max", "100000000", "--group-by", "Sex"],
     "curve-entropy": ["curve-entropy", "--domain-size", "100000", "--per-value", "100000",
                       "--k", "5"],
@@ -481,6 +481,15 @@ def test_work_refusal_names_what_it_counted(runner, case):
     r = runner.invoke(main, HUGE[case])
     assert r.exit_code == 3
     assert r.stderr == f"error: {REFUSALS[case]} exceeds budget 10000000\n"
+
+
+def test_saturated_disclose_is_answered_under_any_budget(runner):
+    # the Sex buckets have 3 and 4 distinct values: from k = 2 on disclosure_at
+    # answers 1 without a sweep, so only --witness counts (and refuses) the fill
+    r = invoke(runner, "disclose", "--k", "100000000", "--group-by", "Sex")
+    assert (r.exit_code, r.stdout, r.stderr) == (0, "disclosure: 1/1 (1.0)\n", "")
+    r = invoke(runner, "disclose", "--k", "1", "--group-by", "Sex", pre=["--budget", "0"])
+    assert (r.exit_code, r.stderr) == (3, "error: DP cell count 24 exceeds budget 0\n")
 
 
 def _fmt(value):

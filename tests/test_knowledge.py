@@ -17,6 +17,7 @@ from bucketrisk import (
     simple_implication,
     validate_atom,
 )
+from bucketrisk.knowledge import _quote, _tokenize
 
 
 def imp(a, b):
@@ -105,6 +106,29 @@ implications = st.builds(
 @example([BasicImplication((Atom("AND", "OR"),), (Atom("OR", "AND"),))])
 def test_format_parse_roundtrip(impls):
     k = Knowledge(tuple(impls))
+    assert parse_knowledge(format_knowledge(k)) == k
+    for atom in k.atoms():
+        for label in (atom.person, atom.value):
+            assert _tokenize(_quote(label), 1) == [("word", label, 1)]
+
+
+# the grammar's punctuation and keywords, and line breaks, among any characters
+fragments = st.sampled_from(
+    ["(", ")", "=", "&", "|", '"', "#", "->", "-", ">", "AND", "OR", "A", "O",
+     " ", "\t", "\n", "\r", "\x85", "\u2028", "a", "\u00e9", ","]
+)
+
+
+@given(st.lists(fragments | st.characters(), max_size=30).map("".join))
+def test_any_text_parses_or_raises_parse_error(text):
+    try:
+        assert isinstance(parse_atom(text), Atom)
+    except ParseError:
+        pass
+    try:
+        k = parse_knowledge(text)
+    except ParseError:
+        return
     assert parse_knowledge(format_knowledge(k)) == k
 
 

@@ -234,16 +234,29 @@ def test_brute_force_witness_replays(demo_bucketization):
 def test_brute_force_guards(demo_bucketization):
     with pytest.raises(ValidationError):
         brute_force_max_disclosure(demo_bucketization, -1)
-    with pytest.raises(ValidationError):
-        brute_force_max_disclosure(demo_bucketization, 4)  # over max_k
+    with pytest.raises(BudgetExceededError, match="search conjunction count"):
+        brute_force_max_disclosure(demo_bucketization, 4)  # only the budget limits k
     with pytest.raises(ValidationError):
         brute_force_max_disclosure(demo_bucketization, 1, "no-such-family")
     with pytest.raises(BudgetExceededError):
         brute_force_max_disclosure(demo_bucketization, 1, budget=100)
-    # raising max_k explicitly is allowed
     b = Bucketization((make_bucket("b", ["p", "q"], ["a", "b"]),), ("a", "b"))
-    v, _, _ = brute_force_max_disclosure(b, 4, max_k=4)
+    v, _, _ = brute_force_max_disclosure(b, 4)
     assert v == 1
+
+
+HUGE_K_BRUTE_FORCE = """
+from bucketrisk import Bucketization, brute_force_max_disclosure, make_bucket
+b = Bucketization((make_bucket("b", ["p", "q"], ["a", "b"]),), ("a", "b"))
+print(brute_force_max_disclosure(b, 10**9)[0])
+"""
+
+
+def test_brute_force_counts_conjunctions_only_up_to_n():
+    """C(n, j) = 0 for j > n, so the count at k = 10**9 stops at j = n, not j = k."""
+    result = subprocess.run([sys.executable, "-c", HUGE_K_BRUTE_FORCE], capture_output=True,
+                            text=True, env=child_env(), timeout=60, check=True)
+    assert (result.stdout, result.stderr) == ("1\n", "")
 
 
 def test_bucket_values_outside_the_domain_are_refused_before_the_oracle():
