@@ -17,6 +17,7 @@ from .engine import (
     avoidance_probability,
     disclosure_at,
     disclosure_by_k,
+    disclosure_reaches,
     max_disclosure,
     max_disclosure_negated_atoms,
     minimize_across_buckets,
@@ -139,6 +140,7 @@ __all__ = [
     "buckets_at",
     "disclosure_at",
     "disclosure_by_k",
+    "disclosure_reaches",
     "disclosure_vs_k",
     "dump_table",
     "emit_csv",

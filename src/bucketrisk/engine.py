@@ -22,11 +22,13 @@ One across-bucket sweep at k fills a row whose entry h is the answer for h
 atoms, so it serves every h <= k. Three public readers share it:
 ``max_disclosure`` reads entry k and backtracks a witness, whose persons
 come from the at most k + 1 buckets it names, ``disclosure_by_k`` the whole
-row and ``disclosure_at`` entry k alone. All three take count tuples, so a
-caller need not build buckets for them. With d_min the fewest
-distinct values in any bucket, both knowledge classes disclose exactly 1 from
-k = d_min - 1 on, so the last two sweep at most to d_min - 2 and give 1 from
-d_min - 1 on.
+row and ``disclosure_at`` entry k alone. A decision reader,
+``disclosure_reaches``, asks only whether entry k reaches a threshold c and
+stops the sweep at the first bucket that proves it does. All four take
+count tuples, so a caller need not build buckets for them. With d_min the
+fewest distinct values in any bucket, both knowledge classes disclose
+exactly 1 from k = d_min - 1 on, so the last three sweep at most to
+d_min - 2 and answer from d_min - 1 on without one.
 
 The sweep runs from the last bucket to the first and fills a bucket's
 within-bucket minima only as far as its scans read them: past the first zero
@@ -175,7 +177,8 @@ class Engine:
     """One session of engine work: within-bucket tables and work counters.
 
     ``tables`` maps histogram counts to a memoized within-bucket table;
-    ``across_entries`` sums the across-bucket entries of every sweep and
+    ``across_entries`` sums the across-bucket entries of the rows every
+    sweep filled (2(k + 1) per row; a stopped sweep fills fewer rows) and
     ``repeat_rows`` the bucket rows that the repeat rule of
     ``_across_sweep`` served without a scan. A session is not safe for
     concurrent use.
@@ -286,8 +289,17 @@ def _checked_counts(
     return histograms, min(map(len, histograms)) - 1
 
 
+def _at_most(pair: tuple[int, int], bound: tuple[int, int]) -> bool:
+    """pair <= bound for unnormalized pairs; a bound (n, 0) is above every pair."""
+    return pair[0] * bound[1] <= bound[0] * pair[1]
+
+
 def _across_sweep(
-    histograms: Sequence[tuple[int, ...]], k: int, engine: Engine
+    histograms: Sequence[tuple[int, ...]],
+    k: int,
+    engine: Engine,
+    *,
+    stop: tuple[int, int] | None = None,
 ) -> tuple[list, list[list[int]], list[list[int]]]:
     """The across-bucket DP for up to k antecedent atoms, in one sweep.
 
@@ -323,6 +335,13 @@ def _across_sweep(
     hp = 0 in the t-row and, in the f-row, the first of the two minimal
     candidates in scan order: the target here with no extra atom (code 1),
     unless f_next[h] (code 0) is strictly smaller.
+
+    With ``stop``, a bound on r, the sweep returns early once entry k of
+    the f-row is at most the bound: that entry is the least r over
+    placements inside buckets i.., which is also a placement of the whole
+    table, so the final r cannot exceed it. The back-pointer tables are
+    then incomplete. Repeat rows leave the f-row's values as they were, so
+    only the first row and scanned rows are checked.
     """
     m = len(histograms)
     counts = histograms[-1]
@@ -334,8 +353,11 @@ def _across_sweep(
     choice_t: list[list[int]] = [[]] * (m - 1) + [list(range(k + 1))]
     choice_f: list[list[int]] = [[]] * (m - 1) + [list(range(1, 2 * k + 2, 2))]
     copies = {counts: 1}  # occurrences after bucket i
+    i = m - 1  # t_next and f_next are bucket i's rows
+    stopped = stop is not None and _at_most(f_next[k], stop)
 
-    for i in range(m - 2, -1, -1):
+    while i and not stopped:
+        i -= 1
         counts = histograms[i]
         table = engine.table(counts)
         nb, top = table.n, counts[0]
@@ -402,8 +424,9 @@ def _across_sweep(
         t_next, f_next = t_row, f_row
         choice_t[i] = ct
         choice_f[i] = cf
+        stopped = stop is not None and _at_most(f_next[k], stop)
 
-    engine.across_entries += 2 * m * (k + 1)
+    engine.across_entries += 2 * (m - i) * (k + 1)
     return f_next, choice_t, choice_f
 
 
@@ -480,6 +503,24 @@ def disclosure_at(
         return Fraction(1)
     r_num, r_den = _across_sweep(histograms, k, _session(engine))[0][k]
     return Fraction(r_den, r_num + r_den)
+
+
+def disclosure_reaches(
+    histograms: Histograms, k: int, c: Fraction, *, engine: Engine | None = None
+) -> bool:
+    """True iff ``disclosure_at(histograms, k) >= c``, for any rational c.
+
+    1/(1 + r) >= c iff r <= (1 - c)/c, so the sweep stops at the first
+    bucket whose f-row entry k is already at most (1 - c)/c; a disclosure
+    below c still sweeps every bucket. From k = d_min - 1 on nothing is
+    swept.
+    """
+    histograms, saturation = _checked_counts(histograms, k)
+    c = Fraction(c)
+    if k >= saturation:
+        return c <= 1
+    bound = (c.denominator - c.numerator, c.numerator)
+    return _at_most(_across_sweep(histograms, k, _session(engine), stop=bound)[0][k], bound)
 
 
 # ============================================================================

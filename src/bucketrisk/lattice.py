@@ -18,7 +18,8 @@ Ramakrishnan, SIGMOD 2005): O(tally entries) per node, not O(rows).
 ``all_minimal_safe`` rolls each node up from an evaluated child, relabelling
 one attribute; ``binary_search_chain`` rolls each node up from the bottom,
 labelling each distinct raw value once per attribute. ``is_safe`` takes the
-resulting count tuples. ``apply`` is what builds buckets with members, and
+resulting count tuples and stops its sweep at the first bucket that proves
+a node unsafe. ``apply`` is what builds buckets with members, and
 it labels rows with the same routine as the bottom rollup. The table
 module tallies the bottom node, with the routine ``histograms`` uses, and
 sums tallies for every rollup; ``apply`` buckets rows with the routine
@@ -29,10 +30,11 @@ from __future__ import annotations
 
 import itertools
 import json
+import numbers
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence, Union
 
-from .engine import Engine, Histograms, disclosure_at
+from .engine import Engine, Histograms, disclosure_reaches
 from .errors import BudgetExceededError, ValidationError
 from .table import (Bucketization, Source, Table, Tallies, _bucketize, _count_tuples,
                     _Frozen, _open_text, _regroup, _tallies)
@@ -282,24 +284,36 @@ def leq(finer: Bucketization, coarser: Bucketization) -> bool:
 
 
 class SafetyThreshold(_Frozen):
-    """Disclosure must stay strictly below c against k knowledge units."""
+    """Disclosure must stay strictly below c against k knowledge units.
+
+    c is kept as an exact ``Fraction``: a float or an int becomes its exact
+    value.
+    """
 
     __slots__ = _fields = ("c", "k")
 
     def __init__(self, c: Fraction, k: int):
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "k", k)
-        if not 0 <= self.c <= 1:
+        if not isinstance(c, numbers.Real):
+            raise ValidationError("threshold c must be a real number")
+        if not 0 <= c <= 1:  # also refuses NaN
             raise ValidationError("threshold c must be within [0, 1]")
-        if self.k < 0:
+        if not isinstance(k, numbers.Integral):
+            raise ValidationError("threshold k must be an integer")
+        if k < 0:
             raise ValidationError("threshold k must be non-negative")
+        object.__setattr__(self, "c", Fraction(c))
+        object.__setattr__(self, "k", k)
 
 
 def is_safe(
     histograms: Histograms, threshold: SafetyThreshold, *, engine: Engine | None = None
 ) -> bool:
-    """True iff worst-case disclosure against k implications stays below c."""
-    return disclosure_at(histograms, threshold.k, engine=engine) < threshold.c
+    """True iff worst-case disclosure against k implications stays below c.
+
+    The sweep stops at the first bucket that proves the disclosure reaches c
+    (``disclosure_reaches``); a safe input sweeps every bucket.
+    """
+    return not disclosure_reaches(histograms, threshold.k, threshold.c, engine=engine)
 
 
 def binary_search_chain(

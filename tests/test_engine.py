@@ -24,6 +24,7 @@ from bucketrisk import (
     buckets_at,
     disclosure_at,
     disclosure_by_k,
+    disclosure_reaches,
     exact_posterior,
     histograms,
     knowledge_probability,
@@ -516,6 +517,7 @@ def test_count_tuple_entry_points_keep_their_errors():
         (max_disclosure_negated_atoms, "k"),
         (disclosure_by_k, "k_max"),
         (disclosure_at, "k"),
+        (functools.partial(disclosure_reaches, c=Fraction(1, 2)), "k"),
     )
     for call, name in calls:
         with pytest.raises(ValidationError, match="^empty bucketization$"):
@@ -569,6 +571,46 @@ def test_disclosure_by_k_sweeps_no_column_known_to_be_1(histograms, k_max):
     assert session.across_entries == 2 * len(histograms) * (cap + 1)
     assert (session.histograms == 0) == (cap < 0)
     assert implications[cap + 1:] == negations[cap + 1:] == [1] * (k_max - cap)
+
+
+def _thresholds(disclosure):
+    """0, 1, the disclosure itself and its neighbours 1/10^6 away, within [0, 1]."""
+    near = (disclosure - Fraction(1, 10**6), disclosure + Fraction(1, 10**6))
+    return {Fraction(0), Fraction(1), disclosure, *(min(max(c, 0), 1) for c in near)}
+
+
+@given(histograms=_histograms | _pooled_histograms, k=st.integers(0, 15))
+@settings(max_examples=200, deadline=None)
+def test_disclosure_reaches_decides_disclosure_at(histograms, k):
+    disclosure = disclosure_at(histograms, k)
+    for c in _thresholds(disclosure):
+        assert disclosure_reaches(histograms, k, c) == (disclosure >= c)
+    if k >= min(map(len, histograms)) - 1:
+        # saturated: the disclosure is 1, decided without a sweep
+        session = Engine()
+        assert disclosure_reaches(histograms, k, Fraction(1), engine=session)
+        assert not disclosure_reaches(histograms, k, Fraction(3, 2), engine=session)
+        assert session.across_entries == 0 and session.histograms == 0
+
+
+def test_a_stopped_sweep_counts_only_the_rows_it_filled():
+    histograms, k = [(3, 2, 1), (2, 1, 1, 1), (2, 2, 1), (1, 1, 1)], 1
+    m = len(histograms)
+    swept = Engine()
+    disclosure = disclosure_at(histograms, k, engine=swept)
+    assert swept.across_entries == 2 * m * (k + 1)
+    # the disclosures of the last 1, 2, 3 and 4 buckets alone: a c that the
+    # last j buckets reach stops the sweep after their j rows
+    suffixes = [disclosure_at(histograms[-j:], k) for j in range(1, m + 1)]
+    assert suffixes == [Fraction(1, 2), Fraction(2, 3), Fraction(2, 3), disclosure]
+    for c, rows in zip(suffixes, (1, 2, 2, m)):
+        session = Engine()
+        assert disclosure_reaches(histograms, k, c, engine=session)
+        assert session.across_entries == 2 * rows * (k + 1)
+    # a safe input sweeps every bucket, as disclosure_at does
+    safe = Engine()
+    assert not disclosure_reaches(histograms, k, disclosure + Fraction(1, 10**6), engine=safe)
+    assert safe.across_entries == swept.across_entries
 
 
 def test_no_module_but_the_engine_holds_its_private_functions():

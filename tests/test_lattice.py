@@ -16,6 +16,7 @@ from bucketrisk import (
     all_minimal_safe,
     apply,
     binary_search_chain,
+    disclosure_at,
     height_utility,
     is_safe,
     leq,
@@ -179,6 +180,32 @@ def test_safety_threshold_validation():
         SafetyThreshold(Fraction(1, 2), -1)
 
 
+@pytest.mark.parametrize(
+    "c, k, message",
+    [
+        ("0.7", 1, "threshold c must be a real number"),
+        (None, 1, "threshold c must be a real number"),
+        (1j, 1, "threshold c must be a real number"),
+        (float("nan"), 1, r"threshold c must be within \[0, 1\]"),
+        (float("inf"), 1, r"threshold c must be within \[0, 1\]"),
+        (Fraction(1, 2), 1.5, "threshold k must be an integer"),
+        (Fraction(1, 2), "1", "threshold k must be an integer"),
+        (Fraction(1, 2), None, "threshold k must be an integer"),
+    ],
+)
+def test_safety_threshold_refuses_what_is_not_a_number(c, k, message):
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        SafetyThreshold(c, k)
+
+
+def test_safety_threshold_keeps_c_exact():
+    for c, exact in ((0.7, Fraction(3152519739159347, 2**52)), (1, Fraction(1)),
+                     (0, Fraction(0)), (Fraction(2, 3), Fraction(2, 3))):
+        threshold = SafetyThreshold(c, 1)
+        assert type(threshold.c) is Fraction and threshold.c == exact
+    assert SafetyThreshold(0.5, 2) == SafetyThreshold(Fraction(1, 2), 2)
+
+
 def test_is_safe_is_strict(demo_bucketization):
     # k=1 worst case on the sex split is exactly 2/3
     assert max_disclosure(demo_bucketization, 1).disclosure == Fraction(2, 3)
@@ -211,20 +238,26 @@ def test_binary_search_chain_demo(demo_table, demo_hierarchy):
         )
 
 
+def random_chain(rng, hierarchy):
+    """A maximal chain from the bottom to the top, one random raise per step."""
+    node = list(hierarchy.bottom())
+    chain = [tuple(node)]
+    while tuple(node) != hierarchy.top():
+        openings = [
+            i
+            for i, a in enumerate(hierarchy.attributes)
+            if node[i] < hierarchy.max_level(a)
+        ]
+        node[rng.choice(openings)] += 1
+        chain.append(tuple(node))
+    return chain
+
+
 def test_binary_search_matches_linear_scan():
     rng = random.Random(31)
     for _ in range(6):
         table, hierarchy = random_table_and_hierarchy(rng)
-        node = list(hierarchy.bottom())
-        chain = [tuple(node)]
-        while tuple(node) != hierarchy.top():
-            openings = [
-                i
-                for i, a in enumerate(hierarchy.attributes)
-                if node[i] < hierarchy.max_level(a)
-            ]
-            node[rng.choice(openings)] += 1
-            chain.append(tuple(node))
+        chain = random_chain(rng, hierarchy)
         for k in (0, 1):
             values = [
                 max_disclosure(apply(table, hierarchy, n), k).disclosure
@@ -383,6 +416,31 @@ def test_search_rolls_up_from_a_child_like_from_the_bottom(seed, k, c):
     assert [call.args[0] for call in spy.call_args_list] == expected  # same order, too
     if c == 0:
         assert len(evaluated) == hierarchy.size()
+
+
+def swept_is_safe(histograms, threshold, *, engine=None):
+    """The safety rule that sweeps every bucket: the reference for ``is_safe``."""
+    return disclosure_at(histograms, threshold.k, engine=engine) < threshold.c
+
+
+@given(seed=st.integers(min_value=0, max_value=10_000), k=st.integers(min_value=0, max_value=3))
+@settings(max_examples=60, deadline=None)
+def test_searches_match_the_full_sweep_rule(seed, k):
+    rng = random.Random(seed)
+    table, hierarchy = random_table_and_hierarchy(rng)
+    chain = random_chain(rng, hierarchy)
+    bottom = lattice_module._bottom_tallies(table, hierarchy)
+    exact = {
+        disclosure_at(lattice_module._rollup(bottom, hierarchy, node), k)
+        for node in hierarchy.nodes()
+    }
+    for c in sorted(exact | {Fraction(0), Fraction(1)}):
+        threshold = SafetyThreshold(c, k)
+        got = all_minimal_safe(table, hierarchy, threshold)
+        least = binary_search_chain(table, hierarchy, chain, threshold)
+        with mock.patch.object(lattice_module, "is_safe", swept_is_safe):
+            assert got == all_minimal_safe(table, hierarchy, threshold)
+            assert least == binary_search_chain(table, hierarchy, chain, threshold)
 
 
 def missing_value_fixture():
