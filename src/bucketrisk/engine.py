@@ -32,12 +32,16 @@ d_min - 2 and answer from d_min - 1 on without one.
 
 The sweep runs from the last bucket to the first and fills a bucket's
 within-bucket minima only as far as its scans read them: past the first zero
-of the row below, every scan stops at once, so values, witnesses and counters
-stay those of a sweep that fills them all (``_across_sweep`` says why). A
-bucket whose histogram occurs more than k times after it is not scanned at
-all: any placement that uses it leaves one of those k + 1 copies free, which
-gives the same value, so its row is read off the row below in O(k)
-(``Engine.repeat_rows`` counts such buckets).
+of the row below, every scan stops at once. Nor does a scan try every share
+of a bucket whose histogram occurs s times after it. Swapping the atoms of
+two buckets with one histogram keeps a placement's value, so a placement
+that puts more than h // (s + 1) of h atoms into the bucket leaves a later
+copy with fewer, and the swap is a candidate the scan meets earlier and
+that is no larger: the scans stop at h // (s + 1) atoms. At s > k that is
+0 for every h, so the bucket is not scanned and its row is read off the row
+below in O(k) (``Engine.repeat_rows`` counts such buckets). Values,
+witnesses, ``across_entries`` and ``repeat_rows`` stay those of a sweep
+that fills every minimum and scans every share (``_across_sweep`` says why).
 
 All probabilities are exact rationals. Internally the DP works on
 unnormalized (numerator, denominator) integer pairs compared by
@@ -55,6 +59,7 @@ benchmark's traced probe (``perfbench/run.py``) times the engine that way.
 
 from __future__ import annotations
 
+import numbers
 from contextvars import ContextVar
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -241,6 +246,8 @@ def minimize_within_bucket(
     ``avoidance_probability`` together with a minimizing partition (which may
     use fewer than k atoms only when the value is already 0).
     """
+    if not isinstance(k, numbers.Integral):
+        raise ValidationError("k must be an integer")
     if k < 0:
         raise ValidationError("k must be non-negative")
     table = _session(engine).table(bucket.counts)
@@ -280,6 +287,8 @@ def _checked_counts(
     value, so r = 0 and the disclosure is 1; more knowledge cannot lower a
     worst case.
     """
+    if not isinstance(k, numbers.Integral):
+        raise ValidationError(f"{name} must be an integer")
     if k < 0:
         raise ValidationError(f"{name} must be non-negative")
     if isinstance(histograms, Bucketization):
@@ -322,19 +331,30 @@ def _across_sweep(
     non-increasing in h, because each within-bucket minimum is. So from its
     first zero entry z on, every entry is zero, and every scan of row i at
     h >= z takes the zero at hp = 0 and stops: no later candidate is
-    strictly below 0. Row i then reads minima for at most max(z, 1) atoms
-    (z = k + 1 when no entry is zero), with the same values, back-pointers
-    and counts as a sweep that filled all k + 2.
+    strictly below 0.
 
-    A bucket whose histogram occurs more than k times after it (``copies``)
-    is not scanned. A placement that puts the target or hp >= 1 atoms into
-    bucket i spreads its other atoms, at most k, over at most k later
-    buckets, so one of the k + 1 later copies is free, and moving bucket i's
-    share there gives the same value. No candidate that uses bucket i is
-    then strictly below t_next[h] or f_next[h], and the strict-< scans keep
-    hp = 0 in the t-row and, in the f-row, the first of the two minimal
-    candidates in scan order: the target here with no extra atom (code 1),
-    unless f_next[h] (code 0) is strictly smaller.
+    Nor does a scan read past the shares of bucket i that no earlier
+    candidate dominates. Let s (``seen``) count the buckets after i with
+    bucket i's histogram. Swapping the atom sets of two such buckets keeps
+    a placement's value. The scans of entry h meet bucket i's share in the
+    order (target, 0), (no target, 0), (target, 1), (no target, 1), ...
+    Take a placement with hp atoms in bucket i, and a later copy that holds
+    a share earlier in that order; an unused copy does. Swapping the two
+    gives a placement whose share in bucket i comes earlier, so the
+    candidate of that share is no larger, and the strict-< scan never picks
+    hp. A candidate that can win thus needs each of the s copies to hold at
+    least hp atoms, s * hp <= h - hp, and both scans of entry h stop at
+    hp = h // (s + 1). Row i reads minima for at most max(z, 1) atoms
+    (z = k + 1 when no entry is zero), with the same values, back-pointers
+    and counts as a sweep that filled all k + 2 minima and scanned every
+    hp <= h.
+
+    At s > k (``copies``) the bound is 0 for every h, and the bucket is not
+    scanned: its t-row is the row below with back-pointer 0, and its f-row
+    keeps the first minimal of two candidates, the target here with no
+    extra atom (code 1) unless f_next[h] (code 0) is strictly smaller. The
+    target-here products depend only on the histogram and t_next, so they
+    are kept per histogram until a scanned row replaces t_next.
 
     With ``stop``, a bound on r, the sweep returns early once entry k of
     the f-row is at most the bound: that entry is the least r over
@@ -353,6 +373,7 @@ def _across_sweep(
     choice_t: list[list[int]] = [[]] * (m - 1) + [list(range(k + 1))]
     choice_f: list[list[int]] = [[]] * (m - 1) + [list(range(1, 2 * k + 2, 2))]
     copies = {counts: 1}  # occurrences after bucket i
+    repeats: dict[tuple[int, ...], list] = {}  # target-here products, per histogram
     i = m - 1  # t_next and f_next are bucket i's rows
     stopped = stop is not None and _at_most(f_next[k], stop)
 
@@ -365,8 +386,10 @@ def _across_sweep(
         copies[counts] = seen + 1
         if seen > k:
             # a free copy below: t-row as below, f-row of codes 1 and 0 only
-            w1n, w1d = table.minimize(0, 1, 1)
-            here = [(w1n * nb * t[0], w1d * top * t[1]) for t in t_next]
+            here = repeats.get(counts)
+            if here is None:
+                w1n, w1d = table.minimize(0, 1, 1)
+                here = repeats[counts] = [(w1n * nb * t[0], w1d * top * t[1]) for t in t_next]
             cf = [0 if f[0] * c[1] < c[0] * f[1] else 1 for f, c in zip(f_next, here)]
             f_next = [c if code else f for f, c, code in zip(f_next, here, cf)]
             choice_t[i], choice_f[i] = [0] * (k + 1), cf
@@ -376,12 +399,13 @@ def _across_sweep(
         wbi = [table.minimize(0, h, h) for h in range(max(z, 1) + 1)]
         t_row, f_row, ct, cf = [], [], [], []
         for h in range(k + 1):
+            most = h // (seen + 1)  # no scan wins past it
             # target already placed: just distribute h atoms, starting from
             # none here (hp = 0)
             bn, bd = t_next[h]
             bch = 0
             if bn:
-                for hp in range(1, h + 1):
+                for hp in range(1, most + 1):
                     wn, wd = wbi[hp]
                     if wn == 0:
                         cn, cd = 0, 1
@@ -399,7 +423,7 @@ def _across_sweep(
             # it) or into a later bucket; (1, 0) is above every candidate,
             # whose denominators are positive
             bn, bd, bcf = 1, 0, 0
-            for hp in range(h + 1):
+            for hp in range(most + 1):
                 sub = t_next[h - hp]
                 wn, wd = wbi[hp + 1]
                 cn = wn * nb * sub[0]
@@ -422,6 +446,7 @@ def _across_sweep(
             f_row.append((bn, bd))
             cf.append(bcf)
         t_next, f_next = t_row, f_row
+        repeats.clear()
         choice_t[i] = ct
         choice_f[i] = cf
         stopped = stop is not None and _at_most(f_next[k], stop)
@@ -508,7 +533,7 @@ def disclosure_at(
 def disclosure_reaches(
     histograms: Histograms, k: int, c: Fraction, *, engine: Engine | None = None
 ) -> bool:
-    """True iff ``disclosure_at(histograms, k) >= c``, for any rational c.
+    """True iff ``disclosure_at(histograms, k) >= c``, for any finite real c.
 
     1/(1 + r) >= c iff r <= (1 - c)/c, so the sweep stops at the first
     bucket whose f-row entry k is already at most (1 - c)/c; a disclosure
@@ -516,7 +541,12 @@ def disclosure_reaches(
     swept.
     """
     histograms, saturation = _checked_counts(histograms, k)
-    c = Fraction(c)
+    if not isinstance(c, numbers.Real):
+        raise ValidationError("threshold c must be a real number")
+    try:
+        c = Fraction(c)
+    except (ValueError, OverflowError):  # NaN or an infinity
+        raise ValidationError("threshold c must be finite") from None
     if k >= saturation:
         return c <= 1
     bound = (c.denominator - c.numerator, c.numerator)

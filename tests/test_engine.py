@@ -119,8 +119,11 @@ def test_minimize_within_goldens(demo_bucketization):
     assert minimize_within_bucket(male, 2) == (Fraction(1, 5), (2,))
     value, parts = minimize_within_bucket(male, 3)
     assert value == 0 and sum(parts) <= 3
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="^k must be non-negative$"):
         minimize_within_bucket(male, -1)
+    for k in (1.5, 1.0, "1", None):
+        with pytest.raises(ValidationError, match="^k must be an integer$"):
+            minimize_within_bucket(male, k)
 
 
 @given(seed=st.integers(min_value=0, max_value=10_000))
@@ -430,9 +433,10 @@ _counts = st.lists(st.integers(1, 4), min_size=1, max_size=4).map(
     lambda counts: tuple(sorted(counts, reverse=True))
 )
 _histograms = st.lists(_counts, min_size=1, max_size=5)
-# up to 24 buckets drawn from a pool of 1-3 histograms, so some repeat > k times
+# up to 40 buckets drawn from a pool of 1-3 histograms, so a bucket can have
+# any number of copies after it, from none to more than k
 _pooled_histograms = st.lists(_counts, min_size=1, max_size=3).flatmap(
-    lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=24)
+    lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=40)
 )
 
 
@@ -463,7 +467,7 @@ def test_bounded_fill_matches_eager_sweep(histograms, k):
     assert _keys_capped_by_rem(lazy)
 
 
-@given(histograms=_pooled_histograms, k=st.integers(0, 10))
+@given(histograms=_pooled_histograms, k=st.integers(0, 14))
 @example(histograms=[(3,), (3,)], k=0)  # two minimal f-row candidates: code 1 wins
 @settings(max_examples=200, deadline=None)
 def test_repeated_histograms_match_eager_sweep(histograms, k):
@@ -481,6 +485,32 @@ def test_repeated_histograms_match_eager_sweep(histograms, k):
         assert curves == disclosure_by_k(b, k, engine=eager)
     assert lazy.across_entries == eager.across_entries
     assert lazy.within_evaluations <= eager.within_evaluations
+
+
+def test_bounded_scans_match_eager_sweep_at_every_copy_count():
+    # bucket i of the 40 copies has 39 - i copies after it, and each of 16
+    # histograms of 14 values, as in the benchmark's wide-buckets table,
+    # occurs 15 times, so every copy count from 1 to k bounds the scans of
+    # some row, and rows past k take the repeat rule; in the third input the
+    # (4, 1) row lowers the row below between two repeat rows of (3, 2, 1),
+    # so the second must not reuse the first's products
+    rng = random.Random(2007)
+    pool = set()
+    while len(pool) < 16:
+        counts = [1] * 14
+        for _ in range(rng.randint(0, 6)):
+            counts[rng.randrange(14)] += 1
+        pool.add(tuple(sorted(counts, reverse=True)))
+    wide = sorted(pool) * 15
+    rng.shuffle(wide)
+    for k in range(14):
+        for histograms in ([(3, 2, 1)] * 40, wide, [(3, 2, 1), (4, 1)] + [(3, 2, 1)] * (k + 2)):
+            lazy, eager = Engine(), Engine()
+            got = engine_module._across_sweep(histograms, k, lazy)
+            assert got == _eager_sweep(histograms, k, eager), k
+            assert lazy.across_entries == eager.across_entries
+            assert lazy.within_evaluations <= eager.within_evaluations
+            assert lazy.repeat_rows > 0
 
 
 def test_repeat_rows_counts_buckets_served_without_a_scan():
@@ -525,6 +555,17 @@ def test_count_tuple_entry_points_keep_their_errors():
         for histograms in ([(2, 1)], []):  # k is checked before the input
             with pytest.raises(ValidationError, match=f"^{name} must be non-negative$"):
                 call(histograms, -1)
+            for k in (1.5, 1.0, Fraction(1, 2), "1", None):
+                with pytest.raises(ValidationError, match=f"^{name} must be an integer$"):
+                    call(histograms, k)
+    for c in (None, "1/2", 1j):
+        with pytest.raises(ValidationError, match="^threshold c must be a real number$"):
+            disclosure_reaches([(2, 1, 1)], 1, c)
+    for c in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValidationError, match="^threshold c must be finite$"):
+            disclosure_reaches([(2, 1, 1)], 1, c)
+    # an integral k of another type passes, and so does a float c
+    assert disclosure_reaches([(2, 1, 1)], True, 0.5)
 
 
 def test_saturated_sweep_fills_fewer_minima():
