@@ -12,6 +12,7 @@ generalization found.
 from __future__ import annotations
 
 import functools
+import gc
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -354,5 +355,19 @@ def curve_entropy(obj, domain_size, per_value, k_text):
     _emit_points(obj, entropy_vs_disclosure(family, k_list))
 
 
-if __name__ == "__main__":
+def run() -> None:
+    """Process entry of the ``bucketrisk`` script and ``python -m bucketrisk.cli``.
+
+    Runs ``main`` with the cycle collector off and the imported heap frozen.
+    A command is one process that frees its data by reference counting and
+    leaves no reference cycle (tests/test_imports.py checks each command), so
+    collections would only walk the import-time heap and the table again.
+    In-process callers of ``main`` keep their collector settings.
+    """
+    gc.disable()
+    gc.freeze()
     main()
+
+
+if __name__ == "__main__":
+    run()

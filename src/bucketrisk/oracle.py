@@ -76,25 +76,32 @@ def _mentioned_sequences(bucket: Bucket, q: int) -> list[tuple[tuple[str, ...], 
     assignments, each of weight 1. Sequences come out in lexicographic value
     order, which keeps every downstream enumeration deterministic.
     """
-    remaining = dict(sorted(bucket.histogram))
     base = math.factorial(bucket.size - q)
     whole = math.prod(map(math.factorial, bucket.counts))
     out: list[tuple[tuple[str, ...], int]] = []
-    seq: list[str] = []
+    _walk_sequences(dict(sorted(bucket.histogram)), [], q, 1, out)
+    return [(seq, base * taken // whole) for seq, taken in out]
 
-    def rec(taken: int) -> None:
-        if len(seq) == q:
-            out.append((tuple(seq), base * taken // whole))
-            return
-        for v, c in remaining.items():
-            if c:
-                remaining[v] = c - 1
-                seq.append(v)
-                rec(taken * c)
-                seq.pop()
-                remaining[v] = c
-    rec(1)
-    return out
+
+def _walk_sequences(
+    remaining: dict[str, int], seq: list[str], q: int, taken: int, out: list
+) -> None:
+    """Append (sequence, taken) for each length-q extension of ``seq`` that
+    draws on the ``remaining`` value counts, in lexicographic value order.
+
+    A module-level function rather than a closure that calls itself, which
+    would be a reference cycle that only the cycle collector frees.
+    """
+    if len(seq) == q:
+        out.append((tuple(seq), taken))
+        return
+    for v, c in remaining.items():
+        if c:
+            remaining[v] = c - 1
+            seq.append(v)
+            _walk_sequences(remaining, seq, q, taken * c, out)
+            seq.pop()
+            remaining[v] = c
 
 
 def _projected_size(bucketization: Bucketization, mentioned: set[str]) -> int:
@@ -226,6 +233,13 @@ class _Best:
         self.impls: tuple[BasicImplication, ...] = ()
         self.key: tuple = ()
 
+    def score(self, mask: int, impls: tuple[BasicImplication, ...], keys: tuple) -> None:
+        """Offer the conjunction with world set ``mask`` for its best target."""
+        nums = [(mask & tmask).bit_count() for tmask in self.scan]
+        num = max(nums, default=0)
+        if num:
+            self.offer(num, mask.bit_count(), impls, keys, nums.index(num))
+
     def offer(
         self,
         num: int,
@@ -311,27 +325,33 @@ def _search_subsets(
     worlds, which has the largest posterior and the least key among them.
     Once the value is 1, ``best.scan`` ends at the best target.
     """
-
-    def score(mask: int, impls: tuple[BasicImplication, ...], keys: tuple) -> None:
-        nums = [(mask & tmask).bit_count() for tmask in best.scan]
-        num = max(nums, default=0)
-        if num:
-            best.offer(num, mask.bit_count(), impls, keys, nums.index(num))
-
-    def extend(start: int, mask: int, chosen: tuple, keys: tuple) -> None:
-        for i in range(start, len(items)):
-            impl, imask, key = items[i]
-            combined = mask & imask
-            if combined == 0 or combined == mask:
-                continue  # inconsistent, or equivalent to the subset without i
-            impls, impl_keys = chosen + (impl,), keys + (key,)
-            score(combined, impls, impl_keys)
-            if len(impls) < k:
-                extend(i + 1, combined, impls, impl_keys)
-
-    score(full, (), ())
+    best.score(full, (), ())
     if k:
-        extend(0, full, (), ())
+        _extend_subsets(items, k, best, 0, full, (), ())
+
+
+def _extend_subsets(
+    items: list[tuple[BasicImplication, int, tuple]],
+    k: int,
+    best: _Best,
+    start: int,
+    mask: int,
+    chosen: tuple,
+    keys: tuple,
+) -> None:
+    """Score every conjunction of ``chosen`` with items[start:], up to k conjuncts.
+
+    Module level for the reason given at ``_walk_sequences``.
+    """
+    for i in range(start, len(items)):
+        impl, imask, key = items[i]
+        combined = mask & imask
+        if combined == 0 or combined == mask:
+            continue  # inconsistent, or equivalent to the subset without i
+        impls, impl_keys = chosen + (impl,), keys + (key,)
+        best.score(combined, impls, impl_keys)
+        if len(impls) < k:
+            _extend_subsets(items, k, best, i + 1, combined, impls, impl_keys)
 
 
 def brute_force_max_disclosure(

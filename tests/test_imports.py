@@ -1,18 +1,24 @@
-"""Which layers each entry point loads, and the package namespace that hides it.
+"""Which layers each entry point loads, what a command leaves for the cycle
+collector, and the package namespace that hides the deferred layers.
 
 ``import bucketrisk`` loads the core layers (errors, table, knowledge,
 engine); lattice, oracle and curves load the first time one of their names is
-read. Every check on what a process loaded runs in a fresh interpreter.
+read. Every check on what a process loaded or left behind runs in a fresh
+interpreter.
 """
 
+import gc
 import json
 import subprocess
 import sys
 import types
+from pathlib import Path
 
 import pytest
+from click.testing import CliRunner
 
 import bucketrisk
+from bucketrisk.cli import main
 from conftest import DATA
 from helpers import child_env
 
@@ -23,16 +29,19 @@ HIERARCHY = str(DATA / "clinic-hierarchy.json")
 # stdlib modules the package does not use; each costs start-up time
 UNUSED = {"dataclasses", "inspect"}
 
-# Runs the command line as the installed `bucketrisk` script, then appends the
-# bucketrisk submodules it loaded to stderr, whatever the exit code.
+# Runs the command line as the installed `bucketrisk` script does, through
+# `run`, then appends to stderr, whatever the exit code, the number of
+# unreachable objects a collection finds and the bucketrisk submodules loaded.
 CLI_CHILD = """
+import gc
 import sys
-from bucketrisk.cli import main
+from bucketrisk.cli import run
+sys.argv[0] = "bucketrisk"
 try:
-    main(sys.argv[1:], prog_name="bucketrisk")
+    run()
 finally:
     loaded = sorted(m for m in sys.modules if m.startswith("bucketrisk."))
-    sys.stderr.write("\\nloaded: " + " ".join(loaded) + "\\n")
+    sys.stderr.write(f"\\nunreachable: {gc.collect()}\\nloaded: {' '.join(loaded)}\\n")
 """
 
 
@@ -47,12 +56,14 @@ def loaded_after(code: str) -> set[str]:
 
 
 def run_cli(*args: str):
-    """(exit code, stdout, stderr, loaded submodules) of one fresh CLI process."""
+    """(exit code, stdout, stderr, loaded submodules, unreachable objects) of
+    one fresh CLI process."""
     # a fixed width, so click wraps help text the same way on every terminal
     result = subprocess.run([sys.executable, "-c", CLI_CHILD, *args], capture_output=True,
                             text=True, env=child_env(COLUMNS="80"))
-    stderr, _, loaded = result.stderr.rpartition("\nloaded: ")
-    return result.returncode, result.stdout, stderr, set(loaded.split())
+    stderr, _, report = result.stderr.rpartition("\nunreachable: ")
+    unreachable, _, loaded = report.partition("\nloaded: ")
+    return result.returncode, result.stdout, stderr, set(loaded.split()), int(unreachable)
 
 
 @pytest.mark.parametrize("code", ["import bucketrisk", "import bucketrisk.cli"])
@@ -103,7 +114,7 @@ def test_library_layers_load_no_unused_stdlib_module(code):
          "oracle", "anonymize", "curve-k", "curve-entropy"],
 )
 def test_each_command_loads_only_the_layers_it_runs(args, code, layers):
-    exit_code, stdout, stderr, loaded = run_cli(*args)
+    exit_code, stdout, stderr, loaded, _ = run_cli(*args)
     assert exit_code == code, stderr
     assert "Traceback" not in stderr
     assert CORE <= loaded
@@ -116,8 +127,70 @@ HELP = json.loads((DATA / "cli-help.json").read_text(encoding="utf-8"))
 @pytest.mark.parametrize("command", sorted(HELP))
 def test_help_text_is_unchanged(command):
     """Help output pinned from the release that imported every layer up front."""
-    exit_code, stdout, stderr, _ = run_cli(*command.split()[1:])
+    exit_code, stdout, stderr, _, _ = run_cli(*command.split()[1:])
     assert (exit_code, stdout, stderr) == (0, HELP[command], "")
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        [*TABLE_ARGS, "disclose", "--k", "2", "--group-by", "Sex"],
+        [*TABLE_ARGS, "disclose", "--k", "2", "--group-by", "Sex", "--witness"],
+        [*TABLE_ARGS, "disclose", "--k", "2", "--group-by", "Sex", "--class", "negations"],
+        [*TABLE_ARGS, "curve-k", "--k-max", "2", "--group-by", "Sex"],
+        [*TABLE_ARGS, "curve-k", "--k-max", "2", "--group-by", "Sex", "--sample", "0.5",
+         "--seed", "7"],
+        [*TABLE_ARGS, "--partition", str(DATA / "clinic-partition.tsv"), "curve-k", "--k-max",
+         "2"],
+        ["curve-entropy", "--domain-size", "2", "--per-value", "2", "--k", "1"],
+        [*TABLE_ARGS, "oracle", "--target", "Charlie=Flu", "--group-by", "Sex",
+         "--knowledge", str(DATA / "flu.bk")],
+        [*TABLE_ARGS, "anonymize", "--hierarchy", HIERARCHY, "--c", "7/10", "--k", "1",
+         "--all-minimal"],
+        [*TABLE_ARGS, "anonymize", "--hierarchy", HIERARCHY, "--c", "7/10", "--k", "1",
+         "--chain", "Zip=0..1,Age=0..1,Sex=0..1"],
+    ],
+    ids=["disclose", "disclose-witness", "disclose-negations", "curve-k", "curve-k-sample",
+         "curve-k-partition", "curve-entropy", "oracle", "anonymize-all-minimal",
+         "anonymize-chain"],
+)
+def test_no_command_leaves_a_reference_cycle(args):
+    """``run`` turns the cycle collector off, so a cycle a command makes is
+    never freed: every successful command must free all it made by
+    reference counting. (A failing command exits right after, and its
+    caught exception's traceback is a cycle.)"""
+    exit_code, _, stderr, _, unreachable = run_cli(*args)
+    assert exit_code == 0, stderr
+    assert unreachable == 0
+
+
+def test_run_turns_the_collector_off_and_freezes_the_imported_heap():
+    code = (
+        "import gc, sys\n"
+        "from bucketrisk.cli import main, run\n"
+        "@main.command()\n"
+        "def probe():\n"
+        "    print(gc.isenabled(), gc.get_freeze_count() > 0)\n"
+        "sys.argv[1:] = ['probe']\n"
+        "run()\n"
+    )
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env=child_env())
+    assert (result.returncode, result.stdout, result.stderr) == (0, "False True\n", "")
+
+
+def test_main_in_process_leaves_the_collector_as_it_was():
+    before = gc.isenabled(), gc.get_freeze_count()
+    result = CliRunner().invoke(main, [*TABLE_ARGS, "disclose", "--k", "2", "--group-by", "Sex"])
+    assert result.exit_code == 0, result.output
+    assert (gc.isenabled(), gc.get_freeze_count()) == before
+
+
+def test_installed_script_goes_through_run():
+    tomllib = pytest.importorskip("tomllib")  # new in Python 3.11
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    scripts = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["scripts"]
+    assert scripts == {"bucketrisk": "bucketrisk.cli:run"}
 
 
 def test_every_public_name_is_its_defining_modules_object():

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import random
 from collections import Counter
@@ -212,6 +213,23 @@ def test_brute_force_demo_k2(demo_bucketization):
         imp(("Bob", "Lung Cancer"), ("Bob", "Breast Cancer")),
         imp(("Bob", "Mumps"), ("Bob", "Breast Cancer")),
     )
+
+
+def test_oracle_frees_everything_it_makes_by_reference_counting(demo_bucketization):
+    """The command line runs with the cycle collector off, so a reference cycle
+    made here, such as a closure that calls itself, would never be freed."""
+    b = demo_bucketization
+    not_mumps = Knowledge((negation_as_implication(Atom("Ed", "Mumps"), b.domain),))
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        assert exact_posterior(b, not_mumps, Atom("Ed", "Lung Cancer")) == Fraction(1, 2)
+        assert brute_force_max_disclosure(b, 2)[0] == 1
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_brute_force_families_agree_small():
