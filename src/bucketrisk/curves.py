@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Iterable, Sequence, Union
 
 from .engine import Histograms, disclosure_by_k
-from .errors import ValidationError
+from .errors import ValidationError, _check_count
 from .table import Source, _csv_reader, _Frozen, entropy
 
 
@@ -58,10 +58,8 @@ class SkewedSingleBucketFamily(_Frozen):
     def __init__(self, domain_size: int, per_value: int):
         object.__setattr__(self, "domain_size", domain_size)
         object.__setattr__(self, "per_value", per_value)
-        if self.domain_size < 1:
-            raise ValidationError("domain_size must be >= 1")
-        if self.per_value < 1:
-            raise ValidationError("per_value must be >= 1")
+        _check_count(domain_size, "domain_size", least=1)
+        _check_count(per_value, "per_value", least=1)
 
     def members(self) -> Iterable[tuple[float, tuple[int, ...]]]:
         m, c = self.domain_size, self.per_value
@@ -72,8 +70,8 @@ class SkewedSingleBucketFamily(_Frozen):
 
 def entropy_vs_disclosure(family, k_list: Sequence[int]) -> list[CurvePoint]:
     """Least worst-case disclosure at each entropy value, one series per k."""
-    if any(k < 0 for k in k_list):
-        raise ValidationError("k must be non-negative")
+    for k in k_list:
+        _check_count(k, "k")
     k_top = max(k_list, default=0)
     members = [(h, disclosure_by_k([counts], k_top)[0]) for h, counts in family.members()]
     points = []

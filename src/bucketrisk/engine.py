@@ -30,18 +30,11 @@ fewest distinct values in any bucket, both knowledge classes disclose
 exactly 1 from k = d_min - 1 on, so the last three sweep at most to
 d_min - 2 and answer from d_min - 1 on without one.
 
-The sweep runs from the last bucket to the first and fills a bucket's
-within-bucket minima only as far as its scans read them: past the first zero
-of the row below, every scan stops at once. Nor does a scan try every share
-of a bucket whose histogram occurs s times after it. Swapping the atoms of
-two buckets with one histogram keeps a placement's value, so a placement
-that puts more than h // (s + 1) of h atoms into the bucket leaves a later
-copy with fewer, and the swap is a candidate the scan meets earlier and
-that is no larger: the scans stop at h // (s + 1) atoms. At s > k that is
-0 for every h, so the bucket is not scanned and its row is read off the row
-below in O(k) (``Engine.repeat_rows`` counts such buckets). Values,
-witnesses, ``across_entries`` and ``repeat_rows`` stay those of a sweep
-that fills every minimum and scans every share (``_across_sweep`` says why).
+The sweep runs from the last bucket to the first, fills a bucket's
+within-bucket minima only as far as its scans read them, and stops each scan
+at h // (s + 1) atoms for a bucket whose histogram occurs s more times after
+it; ``_across_sweep`` says why its values, witnesses and counters stay those
+of a sweep that fills every minimum and scans every share.
 
 All probabilities are exact rationals. Internally the DP works on
 unnormalized (numerator, denominator) integer pairs compared by
@@ -62,9 +55,10 @@ from __future__ import annotations
 import numbers
 from contextvars import ContextVar
 from fractions import Fraction
+from itertools import accumulate
 from typing import Callable, Sequence
 
-from .errors import ValidationError
+from .errors import ValidationError, _check_count
 from .knowledge import Atom, BasicImplication, simple_implication
 from .table import Bucket, Bucketization, _Frozen
 
@@ -87,8 +81,8 @@ def avoidance_probability(bucket: Bucket, parts: Sequence[int]) -> Fraction:
     n = bucket.size
     if len(parts) > n:
         raise ValidationError(f"{len(parts)} involved persons exceed bucket size {n}")
-    if any(p < 1 for p in parts):
-        raise ValidationError("each involved person needs >= 1 atom")
+    for p in parts:
+        _check_count(p, "each involved person's atom count", least=1)
     if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
         raise ValidationError("per-person atom counts must be non-increasing")
     counts = bucket.counts
@@ -115,54 +109,47 @@ class _BucketTable:
     equals the minimum over partitions of exactly k atoms, and minimize(0, h,
     h) is non-increasing in h. A cap above the atoms left allows nothing
     more than a cap equal to them, so states are keyed by min(cap, rem).
+    ``memo`` maps a state to (numerator, denominator, atoms for person i);
+    ``rest[j]`` is n minus the sum of the j largest counts (0 from j = d on).
     """
 
-    __slots__ = ("n", "_prefix", "memo", "choice", "evaluations")
+    __slots__ = ("n", "rest", "memo", "evaluations")
 
     def __init__(self, counts: tuple[int, ...]):
-        self.n = sum(counts)
-        prefix = [0]
-        for c in counts:
-            prefix.append(prefix[-1] + c)
-        self._prefix = prefix
-        self.memo: dict[tuple[int, int, int], tuple[int, int]] = {}
-        self.choice: dict[tuple[int, int, int], int] = {}
+        n = self.n = sum(counts)
+        self.rest = [n - s for s in accumulate(counts, initial=0)]
+        self.memo: dict[tuple[int, int, int], tuple[int, int, int]] = {}
         self.evaluations = 0
 
-    def top_sum(self, j: int) -> int:
-        """Sum of the j largest counts (values past the distinct ones count 0)."""
-        prefix = self._prefix
-        return prefix[j] if j < len(prefix) else prefix[-1]
-
-    def minimize(self, i: int, cap: int, rem: int) -> tuple[int, int]:
+    def minimize(self, i: int, cap: int, rem: int) -> tuple[int, int, int]:
         if rem == 0 or i >= self.n:
-            return (1, 1)
+            return (1, 1, 0)
         cap = min(cap, rem)  # a cap above rem allows nothing more
         key = (i, cap, rem)
         hit = self.memo.get(key)
         if hit is not None:
             return hit
         self.evaluations += 1
-        n = self.n
-        denominator = n - i
-        best_n, best_d = 1, 1
-        best_choice = 0
+        rest = self.rest
+        if cap >= len(rest):  # more atoms than values: no world remains
+            return self.memo.setdefault(key, (0, 1, cap))
+        denominator = self.n - i
+        best_n, best_d, best_ki = 1, 1, 0
         # descending so ties prefer concentrated shapes (fewer persons)
         for ki in range(cap, 0, -1):
-            numerator = n - i - self.top_sum(ki)
+            numerator = rest[ki] - i
             if numerator <= 0:
-                cand_n, cand_d = 0, 1
-            else:
-                sub_n, sub_d = self.minimize(i + 1, ki, rem - ki)
-                cand_n = numerator * sub_n
-                cand_d = denominator * sub_d
+                best_n, best_d, best_ki = 0, 1, ki
+                break  # nothing is below 0
+            sub_n, sub_d, _ = self.minimize(i + 1, ki, rem - ki)
+            cand_n = numerator * sub_n
+            cand_d = denominator * sub_d
             if cand_n * best_d < best_n * cand_d:
-                best_n, best_d, best_choice = cand_n, cand_d, ki
+                best_n, best_d, best_ki = cand_n, cand_d, ki
                 if cand_n == 0:
                     break
-        self.memo[key] = (best_n, best_d)
-        self.choice[key] = best_choice
-        return (best_n, best_d)
+        best = self.memo[key] = (best_n, best_d, best_ki)
+        return best
 
     def best_partition(self, k: int) -> tuple[int, ...]:
         """The minimizing per-person atom counts for ``minimize(0, k, k)``."""
@@ -170,7 +157,7 @@ class _BucketTable:
         parts = []
         i, cap, rem = 0, k, k
         while rem > 0 and i < self.n:
-            ki = self.choice.get((i, min(cap, rem), rem), 0)
+            ki = self.memo.get((i, min(cap, rem), rem), (1, 1, 0))[2]
             if ki == 0:
                 break  # stopped early: value already 0 with fewer atoms
             parts.append(ki)
@@ -197,9 +184,13 @@ class Engine:
         self.repeat_rows = 0
 
     def table(self, counts: tuple[int, ...]) -> _BucketTable:
-        """The session's table for this histogram, made on first use."""
-        table = self.tables.get(counts)
+        """The session's table for this histogram, checked and made on first use."""
+        try:
+            table = self.tables.get(counts)
+        except TypeError:  # unhashable, so no count tuple
+            table = None
         if table is None:
+            _check_histogram(counts)
             table = self.tables[counts] = _BucketTable(counts)
         return table
 
@@ -246,13 +237,10 @@ def minimize_within_bucket(
     ``avoidance_probability`` together with a minimizing partition (which may
     use fewer than k atoms only when the value is already 0).
     """
-    if not isinstance(k, numbers.Integral):
-        raise ValidationError("k must be an integer")
-    if k < 0:
-        raise ValidationError("k must be non-negative")
+    _check_count(k, "k")
     table = _session(engine).table(bucket.counts)
-    value = table.minimize(0, k, k)
-    return Fraction(*value), table.best_partition(k)
+    numerator, denominator, _ = table.minimize(0, k, k)
+    return Fraction(numerator, denominator), table.best_partition(k)
 
 
 # ============================================================================
@@ -274,28 +262,45 @@ class Placement(_Frozen):
         object.__setattr__(self, "atom_counts", atom_counts)
 
 
+def _check_histogram(counts: object) -> None:
+    """Refuse what is not a count tuple: positive integers, descending."""
+    if not isinstance(counts, tuple) or not counts:
+        raise ValidationError(f"{counts!r} is not a count tuple")
+    try:
+        for c in counts:
+            _check_count(c, "each count", least=1)
+    except ValidationError as exc:
+        raise ValidationError(f"count tuple {counts!r}: {exc}") from None
+    if counts != tuple(sorted(counts, reverse=True)):
+        raise ValidationError(f"count tuple {counts!r} is not descending")
+
+
 def _checked_counts(
     histograms: Histograms, k: int, name: str = "k"
 ) -> tuple[Sequence[tuple[int, ...]], int]:
     """Check k and the input; return the count tuples and d_min - 1.
 
-    A bucketization becomes its count tuples, each descending; count tuples
-    pass through. d_min - 1 is the k from which both knowledge classes
-    disclose exactly 1: in a bucket of d_min distinct values, one person can
-    carry the target (its top value) plus an atom, or a negation, for each
-    of the d_min - 1 other values. No world then gives that person another
-    value, so r = 0 and the disclosure is 1; more knowledge cannot lower a
-    worst case.
+    A bucketization becomes its count tuples; count tuples pass through, and
+    ``Engine.table`` checks each distinct one. d_min - 1 is the k from which
+    both knowledge classes disclose exactly 1: in a bucket of d_min distinct
+    values, one person can carry the target (its top value) plus an atom, or
+    a negation, for each of the d_min - 1 other values. No world then gives
+    that person another value, so r = 0 and the disclosure is 1; more
+    knowledge cannot lower a worst case.
     """
-    if not isinstance(k, numbers.Integral):
-        raise ValidationError(f"{name} must be an integer")
-    if k < 0:
-        raise ValidationError(f"{name} must be non-negative")
+    _check_count(k, name)
     if isinstance(histograms, Bucketization):
         histograms = [b.counts for b in histograms.buckets]
     if not histograms:
         raise ValidationError("empty bucketization")
-    return histograms, min(map(len, histograms)) - 1
+    try:
+        shortest = min(map(len, histograms))
+    except TypeError:  # an entry without a length
+        shortest = 0
+    if shortest == 0:  # some entry is empty or no count tuple: name the first
+        for counts in histograms:
+            _check_histogram(counts)
+    return histograms, shortest - 1
 
 
 def _at_most(pair: tuple[int, int], bound: tuple[int, int]) -> bool:
@@ -368,8 +373,8 @@ def _across_sweep(
     table = engine.table(counts)
     nb, top = table.n, counts[0]
     wbi = [table.minimize(0, h, h) for h in range(k + 2)]
-    t_next = [(0, 1) if wn == 0 else (wn, wd) for wn, wd in wbi[:-1]]
-    f_next = [(wn * nb, wd * top) for wn, wd in wbi[1:]]
+    t_next = [(0, 1) if wn == 0 else (wn, wd) for wn, wd, _ in wbi[:-1]]
+    f_next = [(wn * nb, wd * top) for wn, wd, _ in wbi[1:]]
     choice_t: list[list[int]] = [[]] * (m - 1) + [list(range(k + 1))]
     choice_f: list[list[int]] = [[]] * (m - 1) + [list(range(1, 2 * k + 2, 2))]
     copies = {counts: 1}  # occurrences after bucket i
@@ -388,7 +393,7 @@ def _across_sweep(
             # a free copy below: t-row as below, f-row of codes 1 and 0 only
             here = repeats.get(counts)
             if here is None:
-                w1n, w1d = table.minimize(0, 1, 1)
+                w1n, w1d, _ = table.minimize(0, 1, 1)
                 here = repeats[counts] = [(w1n * nb * t[0], w1d * top * t[1]) for t in t_next]
             cf = [0 if f[0] * c[1] < c[0] * f[1] else 1 for f, c in zip(f_next, here)]
             f_next = [c if code else f for f, c, code in zip(f_next, here, cf)]
@@ -406,7 +411,7 @@ def _across_sweep(
             bch = 0
             if bn:
                 for hp in range(1, most + 1):
-                    wn, wd = wbi[hp]
+                    wn, wd, _ = wbi[hp]
                     if wn == 0:
                         cn, cd = 0, 1
                     else:
@@ -425,7 +430,7 @@ def _across_sweep(
             bn, bd, bcf = 1, 0, 0
             for hp in range(most + 1):
                 sub = t_next[h - hp]
-                wn, wd = wbi[hp + 1]
+                wn, wd, _ = wbi[hp + 1]
                 cn = wn * nb * sub[0]
                 cd = wd * top * sub[1]
                 if cn * bd < bn * cd:
@@ -433,7 +438,7 @@ def _across_sweep(
                     if cn == 0:
                         break
                 sub = f_next[h - hp]
-                wn, wd = wbi[hp]
+                wn, wd, _ = wbi[hp]
                 if wn == 0:
                     cn, cd = 0, 1
                 else:
@@ -475,22 +480,17 @@ def minimize_across_buckets(
     row, choice_t, choice_f = _across_sweep(histograms, k, _session(engine))
 
     atom_counts = [0] * m
-    target_bucket = -1
-    h = k
-    placed = False
+    target_bucket, h = -1, k
     for i in range(m):
-        if not placed:
-            code = choice_f[i][h]
-            hp, here = code >> 1, code & 1
-            atom_counts[i] = hp
+        if target_bucket < 0:
+            hp, here = divmod(choice_f[i][h], 2)
             if here:
                 target_bucket = i
-                placed = True
+        elif h == 0:
+            break
         else:
-            if h == 0:
-                break
             hp = choice_t[i][h]
-            atom_counts[i] = hp
+        atom_counts[i] = hp
         h -= hp
     return Fraction(*row[k]), Placement(target_bucket, tuple(atom_counts))
 
@@ -510,9 +510,11 @@ def disclosure_by_k(
     histograms, saturation = _checked_counts(histograms, k_max, "k_max")
     cap = min(k_max, saturation - 1)
     saturated = [Fraction(1)] * (k_max - cap)
-    row = _across_sweep(histograms, cap, _session(engine))[0] if cap >= 0 else []
+    engine = _session(engine)
+    row = _across_sweep(histograms, cap, engine)[0] if cap >= 0 else []
+    negations = _negated_atoms_series(histograms, cap, engine) if cap >= 0 else []
     implications = [Fraction(d, n + d) for n, d in row]
-    return implications + saturated, _negated_atoms_series(histograms, cap) + saturated
+    return implications + saturated, negations + saturated
 
 
 def disclosure_at(
@@ -588,22 +590,18 @@ class DisclosureReport(_Frozen):
         object.__setattr__(self, "implications", implications)
 
 
-def _partition_atoms(
-    bucket: Bucket, parts: Sequence[int], skip_first: bool
-) -> list[Atom]:
+def _partition_atoms(bucket: Bucket, parts: Sequence[int]) -> list[Atom]:
     """Materialize a partition as atoms on the bucket's first persons.
 
-    Person i carries the top parts[i] values. Indices past the distinct
-    values have count 0: such atoms change nothing (the closed form adds 0
-    and the implication is vacuous), so they are dropped. ``skip_first``
-    omits person 0's top-value atom (the target atom).
+    Person i carries the top parts[i] values, so person 0's top-value atom
+    comes first. Indices past the distinct values have count 0: such atoms
+    change nothing (the closed form adds 0 and the implication is vacuous),
+    so they are dropped.
     """
     atoms = []
     for person_index, p in enumerate(parts):
         person = bucket.members[person_index]
         for j in range(p):
-            if skip_first and person_index == 0 and j == 0:
-                continue
             value = bucket.value_at(j)
             if value is not None:
                 atoms.append(Atom(person, value))
@@ -645,8 +643,8 @@ def max_disclosure(
         here = i == placement.target_bucket
         if here:
             target = Atom(b.members[0], b.histogram[0][0])
-        parts = engine.table(histograms[i]).best_partition(slots[i])
-        antecedents.extend(_partition_atoms(b, parts, skip_first=here))
+        atoms = _partition_atoms(b, engine.table(histograms[i]).best_partition(slots[i]))
+        antecedents.extend(atoms[1:] if here else atoms)  # atoms[0] is the target
 
     implications = [simple_implication(a, target) for a in antecedents]
     while len(implications) < k:
@@ -665,20 +663,20 @@ def max_disclosure(
 
 
 def _negated_atoms_series(
-    histograms: Sequence[tuple[int, ...]], k: int
+    histograms: Sequence[tuple[int, ...]], k: int, engine: Engine
 ) -> list[Fraction]:
     """The negated-atoms bound for every k' <= k, for k up to saturation.
 
-    Prefix sums run once per distinct histogram, candidates are compared by
-    cross-multiplication, and a Fraction is built only for each k's maximum.
+    Reads each distinct histogram's n and ``rest`` off its session table,
+    compares by cross-multiplication, and builds a Fraction per k only.
     """
     best = [(0, 1)] * (k + 1)
-    for counts in dict.fromkeys(histograms):
-        top, n = counts[0], sum(counts)
-        covered = 0
+    for table in dict.fromkeys(map(engine.table, histograms)):
+        rest = table.rest
+        top = table.n - rest[1]
         for j in range(k + 1):
-            covered += counts[j]  # j < d_min <= len(counts)
-            den = n - covered + top
+            # the top j + 1 counts excluded, the target's count added back
+            den = rest[j + 1] + top  # j + 1 <= d_min
             bn, bd = best[j]
             if top * bd > bn * den:
                 best[j] = (top, den)
@@ -697,4 +695,4 @@ def max_disclosure_negated_atoms(histograms: Histograms, k: int) -> Fraction:
     is a bucketization or its count tuples.
     """
     histograms, saturation = _checked_counts(histograms, k)
-    return _negated_atoms_series(histograms, min(k, saturation))[-1]
+    return _negated_atoms_series(histograms, min(k, saturation), _session(None))[-1]

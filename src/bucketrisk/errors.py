@@ -8,6 +8,8 @@ result and the CLI exits 4.
 
 from __future__ import annotations
 
+import numbers
+
 # The default --budget, and the default budget of the oracle's enumerations.
 DEFAULT_BUDGET = 10_000_000
 
@@ -47,3 +49,11 @@ class BudgetExceededError(BucketRiskError):
         super().__init__(f"{what} {count} exceeds budget {budget}")
         self.count = count
         self.budget = budget
+
+
+def _check_count(value: object, name: str, least: int | None = 0) -> None:
+    """Refuse a non-integer count (bool is one), or one below ``least`` unless it is None."""
+    if type(value) is not int and not isinstance(value, numbers.Integral):  # int: no ABC lookup
+        raise ValidationError(f"{name} must be an integer")
+    if least is not None and value < least:
+        raise ValidationError(f"{name} must be " + (f">= {least}" if least else "non-negative"))

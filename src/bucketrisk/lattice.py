@@ -35,7 +35,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Sequence, Union
 
 from .engine import Engine, Histograms, disclosure_reaches
-from .errors import BudgetExceededError, ValidationError
+from .errors import BudgetExceededError, ValidationError, _check_count
 from .table import (Bucketization, Source, Table, Tallies, _bucketize, _count_tuples,
                     _Frozen, _open_text, _regroup, _tallies)
 
@@ -64,17 +64,29 @@ class _ReadOnlyDict(dict):
 class Hierarchy(_Frozen):
     """Per-attribute generalization levels, level 0 (identity) implicit.
 
-    ``levels[attribute]`` holds levels 1..L in order; each entry is a
-    raw-to-label dict, the keyword "suppress" (everything becomes "*"), or
+    ``levels[attribute]`` lists levels 1..L in order; each is a string to
+    string dict, the keyword "suppress" (everything becomes "*"), or
     "identity". Attribute order fixes the meaning of node vectors. The
-    constructor keeps read-only copies of ``levels`` and its maps, so no
-    later change can undo its checks.
+    constructor checks every level's type first, and keeps read-only copies
+    of ``levels`` and its maps, so no later change can undo its checks.
     """
 
     __slots__ = _fields = ("attributes", "levels")
 
     def __init__(self, attributes: tuple[str, ...], levels: dict[str, tuple[Level, ...]]):
         object.__setattr__(self, "attributes", attributes)
+        for attribute, declared in levels.items():
+            if not isinstance(declared, (list, tuple)):
+                raise ValidationError(f"attribute {attribute!r}: expected a list of levels")
+            for index, level in enumerate(declared, start=1):
+                if isinstance(level, dict):
+                    if not all(isinstance(raw, str) and isinstance(label, str)
+                               for raw, label in level.items()):
+                        raise ValidationError(f"attribute {attribute!r} level {index}: raw "
+                                              "values and labels must be strings")
+                elif level not in ("suppress", "identity"):
+                    raise ValidationError(f"attribute {attribute!r} level {index}: expected "
+                                          "a map, 'suppress', or 'identity'")
         copy = lambda level: _ReadOnlyDict(level) if isinstance(level, dict) else level
         levels = _ReadOnlyDict((a, tuple(map(copy, declared))) for a, declared in levels.items())
         object.__setattr__(self, "levels", levels)
@@ -160,6 +172,7 @@ class Hierarchy(_Frozen):
                 f"{len(self.attributes)} attributes"
             )
         for attribute, level in zip(self.attributes, node):
+            _check_count(level, f"level of attribute {attribute!r}", least=None)
             if not 0 <= level <= self.max_level(attribute):
                 raise ValidationError(
                     f"level {level} out of range for attribute {attribute!r} "
@@ -172,7 +185,8 @@ def load_hierarchy(source: Source) -> Hierarchy:
     """Read a hierarchy from JSON: {attribute: [level1, level2, ...]}.
 
     Each level is an object mapping raw values to labels, or one of the
-    keywords "suppress" and "identity". Level 0 is implicit.
+    keywords "suppress" and "identity"; ``Hierarchy`` checks them. Level 0 is
+    implicit.
     """
     with _open_text(source) as stream:
         text = stream.read()
@@ -182,24 +196,6 @@ def load_hierarchy(source: Source) -> Hierarchy:
         raise ValidationError(f"hierarchy is not valid JSON: {exc}") from None
     if not isinstance(data, dict) or not data:
         raise ValidationError("hierarchy must be a non-empty JSON object")
-    for attribute, declared in data.items():
-        if not isinstance(declared, list):
-            raise ValidationError(
-                f"attribute {attribute!r}: expected a list of levels"
-            )
-        for index, level in enumerate(declared, start=1):
-            if isinstance(level, dict):
-                for raw, label in level.items():
-                    if not isinstance(raw, str) or not isinstance(label, str):
-                        raise ValidationError(
-                            f"attribute {attribute!r} level {index}: raw values "
-                            "and labels must be strings"
-                        )
-            elif level not in ("suppress", "identity"):
-                raise ValidationError(
-                    f"attribute {attribute!r} level {index}: expected a map, "
-                    "'suppress', or 'identity'"
-                )
     return Hierarchy(tuple(data), data)
 
 
@@ -297,10 +293,7 @@ class SafetyThreshold(_Frozen):
             raise ValidationError("threshold c must be a real number")
         if not 0 <= c <= 1:  # also refuses NaN
             raise ValidationError("threshold c must be within [0, 1]")
-        if not isinstance(k, numbers.Integral):
-            raise ValidationError("threshold k must be an integer")
-        if k < 0:
-            raise ValidationError("threshold k must be non-negative")
+        _check_count(k, "threshold k")
         object.__setattr__(self, "c", Fraction(c))
         object.__setattr__(self, "k", k)
 

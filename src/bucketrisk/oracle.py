@@ -32,6 +32,7 @@ from .errors import (
     BudgetExceededError,
     InconsistentKnowledgeError,
     ValidationError,
+    _check_count,
 )
 from .knowledge import (
     Atom,
@@ -376,8 +377,7 @@ def brute_force_max_disclosure(
     distinct implications, summed over consequents for
     ``simple-common-consequent``) must fit ``budget``.
     """
-    if k < 0:
-        raise ValidationError("k must be non-negative")
+    _check_count(k, "k")
     if not bucketization.buckets:
         raise ValidationError("empty bucketization")
     wc = world_count(bucketization)

@@ -1,0 +1,142 @@
+"""Every public call that takes a count refuses a bad one the same way.
+
+One table names each call, the argument as its message names it, and the
+least value it takes. A value of the wrong type, or below that least value,
+raises ``ValidationError`` with the exact message and nothing else. A
+``Hierarchy`` checks its levels whether it was loaded or built in code.
+"""
+
+import io
+import json
+from fractions import Fraction
+
+import pytest
+
+from bucketrisk import (
+    Hierarchy,
+    SafetyThreshold,
+    SkewedSingleBucketFamily,
+    ValidationError,
+    all_minimal_safe,
+    apply,
+    brute_force_max_disclosure,
+    disclosure_at,
+    disclosure_by_k,
+    disclosure_reaches,
+    entropy_vs_disclosure,
+    load_hierarchy,
+    load_table,
+    max_disclosure,
+    max_disclosure_negated_atoms,
+    minimize_across_buckets,
+    minimize_within_bucket,
+    partition,
+)
+from conftest import DATA
+
+TABLE = load_table(DATA / "clinic.csv", "Disease", id_column="Name")
+BUCKETS = partition(TABLE, by=("Sex",))
+HISTOGRAMS = [b.counts for b in BUCKETS.buckets]  # [(2, 2, 1), (2, 1, 1, 1)]
+HIERARCHY = load_hierarchy(DATA / "clinic-hierarchy.json")
+FAMILY = SkewedSingleBucketFamily(domain_size=3, per_value=2)
+
+# (call id, call with one count, its name in the messages, least value); a
+# least value of None means the call states its own range
+CALLS = [
+    ("max_disclosure", lambda v: max_disclosure(BUCKETS, v), "k", 0),
+    ("disclosure_at", lambda v: disclosure_at(HISTOGRAMS, v), "k", 0),
+    ("disclosure_by_k", lambda v: disclosure_by_k(HISTOGRAMS, v), "k_max", 0),
+    ("disclosure_reaches", lambda v: disclosure_reaches(HISTOGRAMS, v, Fraction(1, 2)), "k", 0),
+    ("minimize_across_buckets", lambda v: minimize_across_buckets(HISTOGRAMS, v), "k", 0),
+    ("minimize_within_bucket", lambda v: minimize_within_bucket(BUCKETS.buckets[0], v), "k", 0),
+    ("max_disclosure_negated_atoms", lambda v: max_disclosure_negated_atoms(HISTOGRAMS, v),
+     "k", 0),
+    ("SafetyThreshold", lambda v: SafetyThreshold(Fraction(1, 2), v), "threshold k", 0),
+    ("brute_force_max_disclosure", lambda v: brute_force_max_disclosure(BUCKETS, v), "k", 0),
+    # the values only: a series is labelled with k as given, so True's is "k=True"
+    ("entropy_vs_disclosure", lambda v: [p.value for p in entropy_vs_disclosure(FAMILY, [0, v])],
+     "k", 0),
+    ("SkewedSingleBucketFamily.domain_size",
+     lambda v: SkewedSingleBucketFamily(domain_size=v, per_value=2), "domain_size", 1),
+    ("SkewedSingleBucketFamily.per_value",
+     lambda v: SkewedSingleBucketFamily(domain_size=3, per_value=v), "per_value", 1),
+    ("Hierarchy.check_node", lambda v: apply(TABLE, HIERARCHY, (v, 0, 0)),
+     "level of attribute 'Zip'", None),
+]
+
+
+def _bad_values(name, least):
+    """(value, message) pairs: three of a wrong type, then the first value
+    below the least one, or -1 where the call states its own range."""
+    wrong_type = [(v, f"{name} must be an integer") for v in (1.5, "1", None)]
+    if least is None:
+        return wrong_type + [(-1, "level -1 out of range for attribute 'Zip' (0..1)")]
+    below = "non-negative" if least == 0 else f">= {least}"
+    return wrong_type + [(v, f"{name} must be {below}") for v in range(-1, least)]
+
+
+BAD = [
+    pytest.param(call, value, message, id=f"{call_id}-{value!r}")
+    for call_id, call, name, least in CALLS
+    for value, message in _bad_values(name, least)
+]
+
+
+@pytest.mark.parametrize("call, value, message", BAD)
+def test_every_count_argument_refuses_a_bad_value(call, value, message):
+    with pytest.raises(ValidationError) as error:
+        call(value)
+    assert str(error.value) == message
+
+
+@pytest.mark.parametrize("call", [c for _, c, _, _ in CALLS], ids=[i for i, *_ in CALLS])
+def test_true_is_accepted_as_1(call):
+    assert call(True) == call(1)
+
+
+# (the Sex levels, the message, whether a JSON file can state them)
+HIERARCHY_TYPE_ERRORS = [
+    (("foo",), "attribute 'Sex' level 1: expected a map, 'suppress', or 'identity'", True),
+    (["suppress", 3], "attribute 'Sex' level 2: expected a map, 'suppress', or 'identity'",
+     True),
+    ("suppress", "attribute 'Sex': expected a list of levels", True),
+    ({"M": "*"}, "attribute 'Sex': expected a list of levels", True),
+    (({"M": 1, "F": "*"},), "attribute 'Sex' level 1: raw values and labels must be strings",
+     True),
+    (({1: "*"},), "attribute 'Sex' level 1: raw values and labels must be strings", False),
+]
+
+
+@pytest.mark.parametrize("levels, message, in_json", HIERARCHY_TYPE_ERRORS,
+                         ids=[repr(levels) for levels, *_ in HIERARCHY_TYPE_ERRORS])
+def test_a_hierarchy_built_in_code_checks_its_level_types(levels, message, in_json):
+    with pytest.raises(ValidationError) as error:
+        Hierarchy(("Sex",), {"Sex": levels})
+    assert str(error.value) == message
+    if in_json:  # a file reports the same, with the same level index
+        with pytest.raises(ValidationError) as error:
+            load_hierarchy(io.StringIO(json.dumps({"Sex": levels})))
+        assert str(error.value) == message
+
+
+def test_a_hierarchy_refused_in_code_never_reaches_the_search():
+    # accepted before its levels were checked, this failed inside the search
+    # with "string indices must be integers"
+    with pytest.raises(ValidationError, match="^attribute 'Sex' level 1: expected a map"):
+        all_minimal_safe(TABLE, Hierarchy(("Sex",), {"Sex": ("foo",)}),
+                         SafetyThreshold(Fraction(1, 2), 1))
+
+
+def test_a_file_reports_a_level_type_before_any_refinement():
+    # the first attribute fails refinement and the second has a bad level:
+    # every attribute's level types are checked first
+    text = json.dumps({
+        "A": [{"a": "g", "b": "g", "c": "h"}, "identity"],
+        "B": ["suppress", 3],
+    })
+    with pytest.raises(ValidationError) as error:
+        load_hierarchy(io.StringIO(text))
+    assert str(error.value) == "attribute 'B' level 2: expected a map, 'suppress', or 'identity'"
+    fixed = text.replace(", 3]", "]")
+    with pytest.raises(ValidationError, match="^attribute 'A': values labeled 'g' at level 1"):
+        load_hierarchy(io.StringIO(fixed))

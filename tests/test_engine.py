@@ -27,6 +27,7 @@ from bucketrisk import (
     disclosure_reaches,
     exact_posterior,
     histograms,
+    is_safe,
     knowledge_probability,
     load_hierarchy,
     make_bucket,
@@ -361,7 +362,7 @@ def _eager_sweep(histograms, k, engine):
     wb, shape = [], []
     for counts in histograms:
         table = engine.table(counts)
-        wb.append([table.minimize(0, h, h) for h in range(k + 2)])
+        wb.append([table.minimize(0, h, h)[:2] for h in range(k + 2)])
         shape.append((table.n, counts[0]))
     t_next = [(1, 1)] + [None] * k
     f_next = [None] * (k + 1)
@@ -423,8 +424,7 @@ def _keys_capped_by_rem(session):
     return all(
         cap <= rem
         for table in session.tables.values()
-        for keys in (table.memo, table.choice)
-        for _, cap, rem in keys
+        for _, cap, rem in table.memo
     )
 
 
@@ -566,6 +566,33 @@ def test_count_tuple_entry_points_keep_their_errors():
             disclosure_reaches([(2, 1, 1)], 1, c)
     # an integral k of another type passes, and so does a float c
     assert disclosure_reaches([(2, 1, 1)], True, 0.5)
+
+
+def test_a_malformed_count_tuple_is_refused_where_its_counts_are_read():
+    # each of these gave a wrong answer or a stray exception; the sorted
+    # (2, 1) has a worst case of 2/3
+    assert disclosure_at([(2, 1)], 0) == Fraction(2, 3)
+    with pytest.raises(ValidationError, match=r"^count tuple \(1, 2\) is not descending$"):
+        disclosure_at([(1, 2)], 0)  # was 1/3
+    with pytest.raises(ValidationError, match=r"^count tuple \(1, 2\) is not descending$"):
+        is_safe([(1, 2)], SafetyThreshold(Fraction(1, 2), 0))  # was True
+    with pytest.raises(ValidationError, match=r"^\(\) is not a count tuple$"):
+        disclosure_at([(2, 1), ()], 0)  # was 1
+    with pytest.raises(ValidationError, match=r"^count tuple \(0,\): each count must be >= 1$"):
+        minimize_across_buckets([(0,)], 0)  # was ZeroDivisionError
+    with pytest.raises(ValidationError, match=r"^\[2, 1\] is not a count tuple$"):
+        disclosure_by_k([[2, 1]], 2)  # was TypeError: unhashable type: 'list'
+
+
+def test_the_negated_atoms_bound_checks_its_count_tuples():
+    for histograms, message in (
+        ([(2, 1), [2, 1]], r"^\[2, 1\] is not a count tuple$"),
+        ([(2, 1), 5], r"^5 is not a count tuple$"),
+        ([(2, 1.5)], r"^count tuple \(2, 1.5\): each count must be an integer$"),
+        ([(1, 2)], r"^count tuple \(1, 2\) is not descending$"),
+    ):
+        with pytest.raises(ValidationError, match=message):
+            max_disclosure_negated_atoms(histograms, 0)
 
 
 def test_saturated_sweep_fills_fewer_minima():
