@@ -10,19 +10,6 @@ search over generalization lattices for the least-general safe publication.
 
 import importlib
 
-from .engine import (
-    DisclosureReport,
-    Engine,
-    Placement,
-    avoidance_probability,
-    disclosure_at,
-    disclosure_by_k,
-    disclosure_reaches,
-    max_disclosure,
-    max_disclosure_negated_atoms,
-    minimize_across_buckets,
-    minimize_within_bucket,
-)
 from .errors import (
     DEFAULT_BUDGET,
     BucketRiskError,
@@ -30,21 +17,6 @@ from .errors import (
     InconsistentKnowledgeError,
     ParseError,
     ValidationError,
-)
-from .knowledge import (
-    Atom,
-    BasicImplication,
-    Knowledge,
-    format_knowledge,
-    holds,
-    implication_holds,
-    knowledge_holds,
-    negation_as_implication,
-    parse_atom,
-    parse_knowledge,
-    simple_implication,
-    validate_atom,
-    validate_knowledge,
 )
 from .table import (
     Bucket,
@@ -61,10 +33,10 @@ from .table import (
     read_domain,
 )
 
-# Layers that only some commands run. Each is imported the first time one of
-# its names, or the submodule itself, is read from the package. The layers
-# above stay eager: every table command runs them, and compiling them after
-# click raised the peak RSS of `anonymize` although it compiled less.
+# Every other layer is imported the first time one of its names, or the
+# submodule itself, is read from the package, so loading and bucketizing a
+# table compiles only the two layers above. The command line imports
+# knowledge and engine itself, before click (see cli.py).
 _LAZY = {
     "curves": (
         "CurvePoint",
@@ -73,6 +45,34 @@ _LAZY = {
         "emit_csv",
         "entropy_vs_disclosure",
         "read_csv",
+    ),
+    "engine": (
+        "DisclosureReport",
+        "Engine",
+        "Placement",
+        "avoidance_probability",
+        "disclosure_at",
+        "disclosure_by_k",
+        "disclosure_reaches",
+        "max_disclosure",
+        "max_disclosure_negated_atoms",
+        "minimize_across_buckets",
+        "minimize_within_bucket",
+    ),
+    "knowledge": (
+        "Atom",
+        "BasicImplication",
+        "Knowledge",
+        "format_knowledge",
+        "holds",
+        "implication_holds",
+        "knowledge_holds",
+        "negation_as_implication",
+        "parse_atom",
+        "parse_knowledge",
+        "simple_implication",
+        "validate_atom",
+        "validate_knowledge",
     ),
     "lattice": (
         "Hierarchy",

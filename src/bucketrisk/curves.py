@@ -81,7 +81,7 @@ def entropy_vs_disclosure(family, k_list: Sequence[int]) -> list[CurvePoint]:
             value = curve[k]
             if h not in best or value < best[h]:
                 best[h] = value
-        series = f"k={k}"
+        series = f"k={int(k)}"  # True is k = 1, and its series is "k=1"
         points += [CurvePoint(series, h, v) for h, v in best.items()]
     return points
 

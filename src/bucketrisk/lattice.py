@@ -23,7 +23,8 @@ a node unsafe. ``apply`` is what builds buckets with members, and
 it labels rows with the same routine as the bottom rollup. The table
 module tallies the bottom node, with the routine ``histograms`` uses, and
 sums tallies for every rollup; ``apply`` buckets rows with the routine
-``partition`` uses.
+``partition`` uses. The searches import the engine when they run, so
+loading a hierarchy and applying a node do not compile it.
 """
 
 from __future__ import annotations
@@ -32,12 +33,14 @@ import itertools
 import json
 import numbers
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence, Union
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence, Union
 
-from .engine import Engine, Histograms, disclosure_reaches
 from .errors import BudgetExceededError, ValidationError, _check_count
 from .table import (Bucketization, Source, Table, Tallies, _bucketize, _count_tuples,
                     _Frozen, _open_text, _regroup, _tallies)
+
+if TYPE_CHECKING:
+    from .engine import Engine, Histograms
 
 Node = tuple[int, ...]
 
@@ -306,6 +309,8 @@ def is_safe(
     The sweep stops at the first bucket that proves the disclosure reaches c
     (``disclosure_reaches``); a safe input sweeps every bucket.
     """
+    from .engine import disclosure_reaches
+
     return not disclosure_reaches(histograms, threshold.k, threshold.c, engine=engine)
 
 
@@ -321,6 +326,8 @@ def binary_search_chain(
     of the chain and binary search finds its first element with O(log) safety
     evaluations, all in one engine session, each on rolled-up histograms.
     """
+    from .engine import Engine
+
     nodes = sorted({hierarchy.check_node(n) for n in chain}, key=height_utility)
     if not nodes:
         raise ValidationError("empty chain")
@@ -366,6 +373,8 @@ def all_minimal_safe(
     whose children all succeeded, so the search raises the error that
     labelling the node's rows would.
     """
+    from .engine import Engine
+
     size = hierarchy.size()
     if size > budget:
         raise BudgetExceededError(size, budget)

@@ -13,10 +13,13 @@ engine, the generalization search) consumes the types defined here.
 The polynomial engine reads only each bucket's histogram, so
 ``histograms`` tallies a grouping's count tuples without building buckets,
 and ``buckets_at`` builds members only for the few buckets a witness names.
-``_tallies`` is the one loop that counts rows into sensitive-value tallies,
-for ``histograms`` and the generalization search's bottom node. It,
-``_regroup`` and ``_count_tuples`` alone know a tally's shape: the values
-its rows hold, so its cost follows the rows, not a declared domain.
+``_tallies`` counts rows into sensitive-value tallies, for ``histograms``
+and the generalization search's bottom node; ``_bucketize`` does the same
+while it gathers members, for ``partition`` and ``lattice.apply``. A tally
+holds only the values its rows hold, so its cost follows the rows, not a
+declared domain. Buckets of a checked table are built without repeating its
+checks (``Bucket._grouped``, ``Bucketization._grouped``); the public
+constructors check everything a caller passes.
 ``load_table`` reads the CSV in chunks and keeps one string object per
 distinct value of every non-id column.
 
@@ -35,10 +38,11 @@ import io
 import math
 from functools import cached_property
 from itertools import islice
+from operator import itemgetter
 from pathlib import Path
 from typing import ContextManager, Iterable, Iterator, Mapping, Sequence, TextIO, Union
 
-from .errors import ValidationError
+from .errors import ValidationError, _check_count
 
 Source = Union[str, Path, TextIO]
 
@@ -167,6 +171,10 @@ class Table(_Frozen):
         return tuple(zip(self.person_ids, *self.columns, self.sensitive))
 
 
+# a histogram pair's count
+_count_of = itemgetter(1)
+
+
 class Bucket(_Frozen):
     """One bucket: members plus the histogram of their sensitive values.
 
@@ -189,6 +197,9 @@ class Bucket(_Frozen):
             raise ValidationError(f"bucket {self.bucket_id!r} is empty")
         counts = tuple(c for _, c in self.histogram)
         object.__setattr__(self, "counts", counts)
+        name = f"bucket {self.bucket_id!r}: each count"
+        for c in counts:
+            _check_count(c, name, least=None)
         if sum(counts) != len(self.members):
             raise ValidationError(
                 f"bucket {self.bucket_id!r}: histogram does not cover members"
@@ -197,6 +208,26 @@ class Bucket(_Frozen):
             raise ValidationError(f"bucket {self.bucket_id!r}: non-positive count")
         if any(counts[j] < counts[j + 1] for j in range(len(counts) - 1)):
             raise ValidationError(f"bucket {self.bucket_id!r}: histogram not sorted")
+
+    @classmethod
+    def _grouped(
+        cls, bucket_id: str, members: tuple[str, ...], histogram: tuple[tuple[str, int], ...]
+    ) -> Bucket:
+        """A bucket of rows grouped by ``_bucketize`` or ``_buckets``.
+
+        It skips ``__init__``'s checks: that the bucket is not empty, and that
+        its counts are integers, positive, sorted and cover the members.
+        Grouping guarantees all of them: a group holds at least one row, its
+        histogram is ``_histogram`` of the tally of its rows' values, so its
+        counts are positive integers in descending order, and they sum to its
+        rows, one member each.
+        """
+        bucket = object.__new__(cls)
+        object.__setattr__(bucket, "bucket_id", bucket_id)
+        object.__setattr__(bucket, "members", members)
+        object.__setattr__(bucket, "histogram", histogram)
+        object.__setattr__(bucket, "counts", tuple(map(_count_of, histogram)))
+        return bucket
 
     @property
     def size(self) -> int:
@@ -213,16 +244,26 @@ class Bucket(_Frozen):
         return self.histogram[j][0] if j < len(self.histogram) else None
 
 
+def _tally(values: Iterable[str]) -> dict[str, int]:
+    """How many times each value occurs, in order of first occurrence."""
+    tally: dict[str, int] = {}
+    for v in values:
+        tally[v] = tally.get(v, 0) + 1
+    return tally
+
+
+def _histogram(tally: Mapping[str, int]) -> tuple[tuple[str, int], ...]:
+    """A tally's (value, count) pairs, count descending, then value ascending."""
+    pairs = sorted(tally.items())
+    pairs.sort(key=_count_of, reverse=True)  # stable: equal counts keep value order
+    return tuple(pairs)
+
+
 def make_bucket(bucket_id: str, members: Sequence[str], values: Sequence[str]) -> Bucket:
     """Build a bucket from parallel member/value sequences, sorting the histogram."""
     if len(members) != len(values):
         raise ValidationError("members and values differ in length")
-    tally: dict[str, int] = {}
-    for v in values:
-        tally[v] = tally.get(v, 0) + 1
-    # count descending, then value ascending: sorted() is stable
-    order = sorted(sorted(tally), key=tally.__getitem__, reverse=True)
-    histogram = tuple(zip(order, map(tally.__getitem__, order)))
+    histogram = _histogram(_tally(values))
     return Bucket(bucket_id=bucket_id, members=tuple(members), histogram=histogram)
 
 
@@ -255,6 +296,22 @@ class Bucketization(_Frozen):
                 if p in seen:
                     raise ValidationError(f"person {p!r} appears in two buckets")
                 seen.add(p)
+
+    @classmethod
+    def _grouped(cls, buckets: tuple[Bucket, ...], table: Table) -> Bucketization:
+        """The bucketization of a table's rows grouped by ``_bucketize``.
+
+        It skips ``__init__``'s checks, none of which can fail here: bucket
+        ids are unique by the "+" rule of ``_bucket_ids``; no person is in two
+        buckets, because each row lands in one group and ``Table.__init__``
+        checks that person ids are unique; and every value lies in the
+        domain, because ``Table.__init__`` checks that every observed value
+        lies in ``table.domain``, the domain given here.
+        """
+        bucketization = object.__new__(cls)
+        object.__setattr__(bucketization, "buckets", buckets)
+        object.__setattr__(bucketization, "domain", table.domain)
+        return bucketization
 
     @cached_property
     def bucket_of(self) -> dict[str, str]:
@@ -494,36 +551,66 @@ def _regroup(tallies: Tallies, keys: Iterable[tuple[str, ...]]) -> Tallies:
     return regrouped
 
 
-def _buckets(
-    table: Table, keys: Iterable[tuple[str, ...]], wanted: set[int] | None = None
-) -> dict[int, Bucket]:
-    """Bucket the table's rows by a tuple key per row, one bucket per key.
+def _bucket_ids(keys: Iterable[tuple[str, ...]]) -> list[str]:
+    """Each of these distinct keys' bucket id, in order.
 
-    Returns each bucket by its index, or only the ``wanted`` ones. Buckets
-    and their members follow row order. A bucket is named by joining its key
-    with "|", and a name already taken by another key gets "+" appended
-    until it is unique, so distinct keys never share a bucket.
+    A bucket is named by joining its key with "|", and a name already taken
+    by an earlier key gets "+" appended until it is unique, so distinct keys
+    never share a bucket.
+    """
+    ids: dict[str, None] = {}  # insertion-ordered, and a set of the names taken
+    for key in keys:
+        bucket_id = "|".join(key)
+        while bucket_id in ids:
+            bucket_id += "+"
+        ids[bucket_id] = None
+    return list(ids)
+
+
+def _buckets(
+    table: Table, keys: Iterable[tuple[str, ...]], wanted: set[int]
+) -> dict[int, Bucket]:
+    """The ``wanted`` buckets of the table's rows grouped by a tuple key per
+    row, by their indices among all buckets.
+
+    Buckets and their members follow row order. Rows are grouped by index,
+    and only the wanted buckets' values are tallied.
     """
     groups: dict[tuple[str, ...], list[int]] = {}
     for row, key in enumerate(keys):
         groups.setdefault(key, []).append(row)
     person_ids, values = table.person_ids, table.sensitive
-    used: set[str] = set()
     buckets = {}
-    for index, (key, rows) in enumerate(groups.items()):
-        bucket_id = "|".join(key)
-        while bucket_id in used:
-            bucket_id += "+"
-        used.add(bucket_id)
-        if wanted is None or index in wanted:
-            members = [person_ids[i] for i in rows]
-            buckets[index] = make_bucket(bucket_id, members, [values[i] for i in rows])
+    for index, (bucket_id, rows) in enumerate(zip(_bucket_ids(groups), groups.values())):
+        if index in wanted:
+            histogram = _histogram(_tally([values[i] for i in rows]))
+            buckets[index] = Bucket._grouped(bucket_id, tuple([person_ids[i] for i in rows]),
+                                             histogram)
     return buckets
 
 
 def _bucketize(table: Table, keys: Iterable[tuple[str, ...]]) -> Bucketization:
-    """Every bucket of ``_buckets``, as a bucketization."""
-    return Bucketization(buckets=tuple(_buckets(table, keys).values()), domain=table.domain)
+    """The table's rows grouped by a tuple key per row, one bucket per key.
+
+    Buckets and their members follow row order, and buckets are named by
+    ``_bucket_ids``. One pass gathers each key's members and tallies its
+    values.
+    """
+    groups: dict[tuple[str, ...], tuple[list[str], dict[str, int]]] = {}
+    for key, person, value in zip(keys, table.person_ids, table.sensitive):
+        group = groups.get(key)
+        if group is None:
+            groups[key] = ([person], {value: 1})
+        else:
+            group[0].append(person)
+            tally = group[1]
+            tally[value] = tally.get(value, 0) + 1
+    bucket = Bucket._grouped
+    buckets = tuple(
+        bucket(bucket_id, tuple(members), _histogram(tally))
+        for bucket_id, (members, tally) in zip(_bucket_ids(groups), groups.values())
+    )
+    return Bucketization._grouped(buckets, table)
 
 
 def entropy(counts: Sequence[int]) -> float:

@@ -53,9 +53,7 @@ CALLS = [
      "k", 0),
     ("SafetyThreshold", lambda v: SafetyThreshold(Fraction(1, 2), v), "threshold k", 0),
     ("brute_force_max_disclosure", lambda v: brute_force_max_disclosure(BUCKETS, v), "k", 0),
-    # the values only: a series is labelled with k as given, so True's is "k=True"
-    ("entropy_vs_disclosure", lambda v: [p.value for p in entropy_vs_disclosure(FAMILY, [0, v])],
-     "k", 0),
+    ("entropy_vs_disclosure", lambda v: entropy_vs_disclosure(FAMILY, [0, v]), "k", 0),
     ("SkewedSingleBucketFamily.domain_size",
      lambda v: SkewedSingleBucketFamily(domain_size=v, per_value=2), "domain_size", 1),
     ("SkewedSingleBucketFamily.per_value",
@@ -92,6 +90,12 @@ def test_every_count_argument_refuses_a_bad_value(call, value, message):
 @pytest.mark.parametrize("call", [c for _, c, _, _ in CALLS], ids=[i for i, *_ in CALLS])
 def test_true_is_accepted_as_1(call):
     assert call(True) == call(1)
+
+
+def test_entropy_series_are_labelled_by_the_integer_k():
+    # True was labelled "k=True", beside "k=1" for the same curve
+    assert {p.series for p in entropy_vs_disclosure(FAMILY, [True])} == {"k=1"}
+    assert entropy_vs_disclosure(FAMILY, [True]) == entropy_vs_disclosure(FAMILY, [1])
 
 
 # (the Sex levels, the message, whether a JSON file can state them)

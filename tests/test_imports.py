@@ -1,10 +1,11 @@
 """Which layers each entry point loads, what a command leaves for the cycle
 collector, and the package namespace that hides the deferred layers.
 
-``import bucketrisk`` loads the core layers (errors, table, knowledge,
-engine); lattice, oracle and curves load the first time one of their names is
-read. Every check on what a process loaded or left behind runs in a fresh
-interpreter.
+``import bucketrisk`` loads errors and table, the layers that load and
+bucketize a table; every other layer loads the first time one of its names is
+read. The command line loads the four core layers (errors, table, knowledge,
+engine) before click. Every check on what a process loaded or left behind
+runs in a fresh interpreter.
 """
 
 import gc
@@ -22,7 +23,8 @@ from bucketrisk.cli import main
 from conftest import DATA
 from helpers import child_env
 
-CORE = {"bucketrisk.errors", "bucketrisk.table", "bucketrisk.knowledge", "bucketrisk.engine"}
+PACKAGE = {"bucketrisk.errors", "bucketrisk.table"}
+CORE = PACKAGE | {"bucketrisk.knowledge", "bucketrisk.engine"}
 DEFERRED = {"bucketrisk.lattice", "bucketrisk.oracle", "bucketrisk.curves"}
 TABLE_ARGS = ["--table", str(DATA / "clinic.csv"), "--sensitive", "Disease", "--id", "Name"]
 HIERARCHY = str(DATA / "clinic-hierarchy.json")
@@ -66,13 +68,37 @@ def run_cli(*args: str):
     return result.returncode, result.stdout, stderr, set(loaded.split()), int(unreachable)
 
 
-@pytest.mark.parametrize("code", ["import bucketrisk", "import bucketrisk.cli"])
-def test_import_loads_only_the_core_layers(code):
+@pytest.mark.parametrize(
+    "code, layers",
+    [("import bucketrisk", PACKAGE), ("import bucketrisk.cli", {*CORE, "bucketrisk.cli"})],
+    ids=["import bucketrisk", "import bucketrisk.cli"],
+)
+def test_import_loads_only_the_core_layers(code, layers):
     loaded = loaded_after(code)
-    assert CORE <= loaded
-    assert not loaded & DEFERRED
+    assert loaded - UNUSED == layers
     # click imports inspect itself
     assert not loaded & (UNUSED - {"inspect"} if code.endswith(".cli") else UNUSED)
+
+
+# load a table, bucketize it, load a hierarchy and apply a node: what a
+# publisher runs to release buckets
+SETUP = f"""
+from fractions import Fraction
+from bucketrisk import lattice, table
+t = table.load_table({str(DATA / "clinic.csv")!r}, "Disease", id_column="Name")
+table.partition(t, by=["Sex"])
+h = lattice.load_hierarchy({HIERARCHY!r})
+lattice.apply(t, h, (1, 1, 0))
+"""
+
+
+def test_bucketizing_loads_no_engine_until_a_search_runs():
+    assert loaded_after(SETUP) == {*PACKAGE, "bucketrisk.lattice"}
+    search = (
+        "minimal = lattice.all_minimal_safe(t, h, lattice.SafetyThreshold(Fraction(7, 10), 1))\n"
+        "assert minimal == [(1, 1, 0)], minimal"
+    )
+    assert loaded_after(SETUP + search) == {*CORE, "bucketrisk.lattice"}
 
 
 @pytest.mark.parametrize(
@@ -208,7 +234,7 @@ def test_star_import_and_dir_cover_all():
     exec("from bucketrisk import *", namespace)
     assert set(bucketrisk.__all__) <= set(namespace)
     assert set(bucketrisk.__all__) <= set(dir(bucketrisk))
-    assert {"lattice", "oracle", "curves"} <= set(dir(bucketrisk))
+    assert {"engine", "knowledge", "lattice", "oracle", "curves"} <= set(dir(bucketrisk))
 
 
 def test_deferred_layers_resolve_after_a_bare_import():

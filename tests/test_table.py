@@ -8,13 +8,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bucketrisk import (
+    Bucket,
     Bucketization,
+    Hierarchy,
     Table,
     ValidationError,
     buckets_at,
     dump_table,
     histograms,
     load_table,
+    apply,
     make_bucket,
     min_bucket_entropy,
     partition,
@@ -355,3 +358,72 @@ def test_histograms_raise_partition_errors(demo_table, grouping):
     for call in (histograms, lambda t, **g: buckets_at(t, [0], **g)):
         with pytest.raises(ValidationError, match=f"^{re.escape(str(expected.value))}$"):
             call(demo_table, **grouping)
+
+
+# labels that join with "|" to the same text as other keys, so the "+" rule
+# renames buckets; "" joins to a bare separator
+LABELS = ("a", "b", "a|b", "b|a", "|", "a|", "|a", "", "a+", "a|b+")
+ATTRIBUTES = ("A0", "A1", "A2")
+# level 1 coarsens every label to one of two that contain "|"; level 2 suppresses
+COARSE = Hierarchy(ATTRIBUTES, {
+    a: ({label: "|" if i % 2 else "a|" for i, label in enumerate(LABELS)}, "suppress")
+    for a in ATTRIBUTES
+})
+
+
+@st.composite
+def grouped_tables(draw):
+    """A small table over ``LABELS``, a grouping of it and its keys per row."""
+    n = draw(st.integers(1, 10))
+    columns = tuple(tuple(draw(st.lists(st.sampled_from(LABELS), min_size=n, max_size=n)))
+                    for _ in ATTRIBUTES)
+    sensitive = tuple(draw(st.lists(st.sampled_from("xyz"), min_size=n, max_size=n)))
+    extra = draw(st.sets(st.sampled_from("wxyz")))
+    person_ids = tuple(f"p{i}" for i in range(n))
+    table = Table(ATTRIBUTES, "S", person_ids, columns, sensitive,
+                  tuple(sorted(set(sensitive) | extra)))
+    if draw(st.booleans()):
+        labels = draw(st.lists(st.sampled_from(LABELS), min_size=n, max_size=n))
+        return table, {"assignment": dict(zip(person_ids, labels))}, [(v,) for v in labels]
+    by = tuple(draw(st.permutations(ATTRIBUTES))[: draw(st.integers(0, 3))])
+    columns = [table.columns[ATTRIBUTES.index(a)] for a in by]
+    return table, {"by": by}, list(zip(*columns)) if by else [("all",)] * n
+
+
+def checked_bucketization(table, keys):
+    """Group rows by key naively, and build every bucket through the checked
+    constructors: ``make_bucket`` and ``Bucketization``."""
+    groups = {}
+    for row, key in enumerate(keys):
+        groups.setdefault(key, []).append(row)
+    buckets, ids = [], set()
+    for key, rows in groups.items():
+        bucket_id = "|".join(key)
+        while bucket_id in ids:
+            bucket_id += "+"
+        ids.add(bucket_id)
+        buckets.append(make_bucket(bucket_id, [table.person_ids[i] for i in rows],
+                                   [table.sensitive[i] for i in rows]))
+    return Bucketization(tuple(buckets), table.domain)
+
+
+def assert_builds_as_checked(built, expected):
+    """``built`` equals ``expected`` and passes every check of the public
+    constructors."""
+    assert built == expected
+    assert [b.counts for b in built.buckets] == [b.counts for b in expected.buckets]
+    rebuilt = tuple(Bucket(b.bucket_id, b.members, b.histogram) for b in built.buckets)
+    assert Bucketization(rebuilt, built.domain) == built
+
+
+@given(data=grouped_tables(), picks=st.lists(st.integers(0, 10**6), max_size=4),
+       node=st.tuples(*[st.integers(0, 2)] * len(ATTRIBUTES)))
+@settings(max_examples=200, deadline=None)
+def test_unchecked_build_equals_the_checked_one(data, picks, node):
+    table, grouping, keys = data
+    built = partition(table, **grouping)
+    assert_builds_as_checked(built, checked_bucketization(table, keys))
+    indices = [i % len(built.buckets) for i in picks]
+    assert buckets_at(table, indices, **grouping) == [built.buckets[i] for i in indices]
+    generalized = [tuple(map(COARSE.label, ATTRIBUTES, node, row)) for row in zip(*table.columns)]
+    assert_builds_as_checked(apply(table, COARSE, node), checked_bucketization(table, generalized))

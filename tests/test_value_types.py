@@ -239,6 +239,8 @@ INVALID = [
     (_with(Bucket, members=(), histogram=()), "bucket 'b0' is empty"),
     (_with(Bucket, histogram=(("Cold", 1),)), "bucket 'b0': histogram does not cover members"),
     (_with(Bucket, histogram=(("Cold", 2), ("Flu", 0))), "bucket 'b0': non-positive count"),
+    (_with(Bucket, histogram=(("Cold", 1.5), ("Flu", 0.5))),
+     "bucket 'b0': each count must be an integer"),
     (_with(Bucket, members=("a", "b", "c"), histogram=(("Cold", 1), ("Flu", 2))),
      "bucket 'b0': histogram not sorted"),
     (_with(Bucketization, buckets=(BUCKET, BUCKET)), "duplicate bucket id 'b0'"),
