@@ -10,34 +10,35 @@ search over generalization lattices for the least-general safe publication.
 
 import importlib
 
-from .errors import (
-    DEFAULT_BUDGET,
-    BucketRiskError,
-    BudgetExceededError,
-    InconsistentKnowledgeError,
-    ParseError,
-    ValidationError,
-)
-from .table import (
-    Bucket,
-    Bucketization,
-    Table,
-    buckets_at,
-    dump_table,
-    histograms,
-    load_table,
-    make_bucket,
-    min_bucket_entropy,
-    partition,
-    read_assignment,
-    read_domain,
-)
-
+# Each public name, under the layer that defines it. errors and table, the
+# layers that load and bucketize a table, are imported with the package.
 # Every other layer is imported the first time one of its names, or the
 # submodule itself, is read from the package, so loading and bucketizing a
-# table compiles only the two layers above. The command line imports
-# knowledge and engine itself, before click (see cli.py).
-_LAZY = {
+# table compiles only those two. The command line imports knowledge and
+# engine itself, before click (see cli.py).
+_EXPORTS = {
+    "errors": (
+        "DEFAULT_BUDGET",
+        "BucketRiskError",
+        "BudgetExceededError",
+        "InconsistentKnowledgeError",
+        "ParseError",
+        "ValidationError",
+    ),
+    "table": (
+        "Bucket",
+        "Bucketization",
+        "Table",
+        "buckets_at",
+        "dump_table",
+        "histograms",
+        "load_table",
+        "make_bucket",
+        "min_bucket_entropy",
+        "partition",
+        "read_assignment",
+        "read_domain",
+    ),
     "curves": (
         "CurvePoint",
         "SkewedSingleBucketFamily",
@@ -93,86 +94,29 @@ _LAZY = {
         "world_count",
     ),
 }
-_LAZY_NAMES = {name: module for module, names in _LAZY.items() for name in names}
+_LAYER_OF = {name: layer for layer, names in _EXPORTS.items() for name in names}
+
+globals().update(
+    (name, getattr(importlib.import_module(f".{layer}", __name__), name))
+    for layer in ("errors", "table")
+    for name in _EXPORTS[layer]
+)
 
 
 def __getattr__(name):
-    if name in _LAZY:
+    if name in _EXPORTS:
         return importlib.import_module(f".{name}", __name__)
-    if name in _LAZY_NAMES:
-        value = getattr(importlib.import_module(f".{_LAZY_NAMES[name]}", __name__), name)
+    if name in _LAYER_OF:
+        value = getattr(importlib.import_module(f".{_LAYER_OF[name]}", __name__), name)
         globals()[name] = value
         return value
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def __dir__():
-    return sorted({*globals(), *_LAZY, *_LAZY_NAMES})
+    return sorted({*globals(), *_EXPORTS, *_LAYER_OF})
 
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Atom",
-    "BasicImplication",
-    "Bucket",
-    "BucketRiskError",
-    "Bucketization",
-    "BudgetExceededError",
-    "CurvePoint",
-    "DEFAULT_BUDGET",
-    "DisclosureReport",
-    "Engine",
-    "Hierarchy",
-    "InconsistentKnowledgeError",
-    "Knowledge",
-    "ParseError",
-    "Placement",
-    "SafetyThreshold",
-    "SkewedSingleBucketFamily",
-    "Table",
-    "ValidationError",
-    "all_minimal_safe",
-    "apply",
-    "avoidance_probability",
-    "binary_search_chain",
-    "brute_force_max_disclosure",
-    "buckets_at",
-    "disclosure_at",
-    "disclosure_by_k",
-    "disclosure_reaches",
-    "disclosure_vs_k",
-    "dump_table",
-    "emit_csv",
-    "entropy_vs_disclosure",
-    "exact_posterior",
-    "format_knowledge",
-    "height_utility",
-    "histograms",
-    "holds",
-    "implication_holds",
-    "is_safe",
-    "knowledge_holds",
-    "knowledge_probability",
-    "leq",
-    "load_hierarchy",
-    "load_table",
-    "make_bucket",
-    "max_disclosure",
-    "max_disclosure_negated_atoms",
-    "min_bucket_entropy",
-    "minimize_across_buckets",
-    "minimize_within_bucket",
-    "negation_as_implication",
-    "parse_atom",
-    "parse_knowledge",
-    "partition",
-    "read_assignment",
-    "read_csv",
-    "read_domain",
-    "select_by_utility",
-    "simple_implication",
-    "validate_atom",
-    "validate_knowledge",
-    "world_count",
-]
+__all__ = sorted(_LAYER_OF)

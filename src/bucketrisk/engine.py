@@ -439,11 +439,8 @@ def _across_sweep(
                         break
                 sub = f_next[h - hp]
                 wn, wd, _ = wbi[hp]
-                if wn == 0:
-                    cn, cd = 0, 1
-                else:
-                    cn = wn * sub[0]
-                    cd = wd * sub[1]
+                cn = wn * sub[0]
+                cd = wd * sub[1]
                 if cn * bd < bn * cd:
                     bn, bd, bcf = cn, cd, hp * 2
                     if cn == 0:

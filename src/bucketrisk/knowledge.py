@@ -322,5 +322,6 @@ def _check_atoms(atoms: Iterable[Atom], persons: Container[str], domain: Iterabl
 
 
 def format_knowledge(knowledge: Knowledge) -> str:
-    """Render knowledge in the file grammar; parses back to an equal value."""
-    return "".join(f"{impl}\n" for impl in knowledge)
+    """Render knowledge in the file grammar, ``str(knowledge)`` with each line
+    ended; parses back to an equal value."""
+    return f"{knowledge}\n" if knowledge.implications else ""

@@ -195,11 +195,16 @@ class Bucket(_Frozen):
         object.__setattr__(self, "histogram", histogram)
         if not self.members:
             raise ValidationError(f"bucket {self.bucket_id!r} is empty")
+        name = f"bucket {self.bucket_id!r}: each count"
+        for entry in self.histogram:
+            if not (isinstance(entry, tuple) and len(entry) == 2 and isinstance(entry[0], str)):
+                raise ValidationError(
+                    f"bucket {self.bucket_id!r}: histogram entry {entry!r} is not a "
+                    "(value, count) pair"
+                )
+            _check_count(entry[1], name, least=None)
         counts = tuple(c for _, c in self.histogram)
         object.__setattr__(self, "counts", counts)
-        name = f"bucket {self.bucket_id!r}: each count"
-        for c in counts:
-            _check_count(c, name, least=None)
         if sum(counts) != len(self.members):
             raise ValidationError(
                 f"bucket {self.bucket_id!r}: histogram does not cover members"

@@ -344,6 +344,33 @@ def test_anonymize_mode_validation(runner):
     assert "Traceback" not in r.output
 
 
+def _three_field_partition(d):
+    (d / "p.tsv").write_text("Bob\tM\tx\n")
+    return [*TABLE_ARGS, "--partition", str(d / "p.tsv"), "disclose", "--k", "1"]
+
+
+CHAIN = [*TABLE_ARGS, "anonymize", *ANON_ARGS, "--c", "7/10", "--chain"]
+REFUSED_ARGUMENTS = {
+    "no-sensitive": (lambda d: ["--table", str(DATA / "clinic.csv"), "disclose", "--k", "1"],
+                     "--sensitive is required for this command"),
+    "chain-not-a-range": (lambda d: [*CHAIN, "Age"],
+                          "chain component 'Age' is not of the form attr=lo..hi"),
+    "chain-unknown-attribute": (lambda d: [*CHAIN, "Foo=0..1"],
+                                "unknown chain attribute 'Foo'"),
+    "chain-bad-level": (lambda d: [*CHAIN, "Age=a..1"], "bad level range in 'Age=a..1'"),
+    "empty-k-list": (lambda d: ["curve-entropy", "--domain-size", "2", "--per-value", "2",
+                                "--k", ","], "empty k list"),
+    "partition-three-fields": (_three_field_partition, "assignment line 1: expected 2 fields"),
+}
+
+
+@pytest.mark.parametrize("case", list(REFUSED_ARGUMENTS))
+def test_refused_argument_exits_2_with_its_message(runner, tmp_path, case):
+    args, message = REFUSED_ARGUMENTS[case]
+    r = runner.invoke(main, args(tmp_path))
+    assert (r.exit_code, r.stdout, r.stderr) == (2, "", f"error: {message}\n")
+
+
 def test_curve_k_to_file(runner, tmp_path):
     out = tmp_path / "curve.csv"
     r = invoke(

@@ -192,6 +192,11 @@ def test_csv_roundtrip():
     assert {type(p.x) for p in back} == {float}
 
 
+def test_read_csv_skips_blank_rows():
+    text = "series,x,num,den,decimal\n\na,1,1,2,0.5\n\n"
+    assert read_csv(io.StringIO(text)) == [CurvePoint("a", 1, Fraction(1, 2))]
+
+
 def test_read_csv_rejects_bad_input():
     with pytest.raises(ValidationError):
         read_csv(io.StringIO("wrong,header\n"))

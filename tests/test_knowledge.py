@@ -188,6 +188,18 @@ def test_str_forms_quote_when_needed():
     assert str(imp(("A", "x"), ("B", "y"))) == "(A=x) -> (B=y)"
 
 
+def test_str_and_format_knowledge_render_alike():
+    k = Knowledge((imp(("A", "x"), ("B", "y")), imp(("Bob", "Lung Cancer"), ("a b", "AND"))))
+    assert str(k) == '(A=x) -> (B=y)\n(Bob="Lung Cancer") -> ("a b"="AND")'
+    assert format_knowledge(k) == f"{k}\n"
+    assert str(Knowledge()) == format_knowledge(Knowledge()) == ""
+    quoted = Knowledge((imp(('a b"', "x"), ("B", "y")),))
+    for render in (str, format_knowledge):
+        with pytest.raises(ValidationError) as error:
+            render(quoted)
+        assert str(error.value) == """cannot render 'a b"': embedded quote"""
+
+
 # every character at which str.splitlines ends a line
 LINE_BREAKS = [c for c in map(chr, range(0x110000)) if len(f"a{c}b".splitlines()) > 1]
 

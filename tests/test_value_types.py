@@ -241,6 +241,14 @@ INVALID = [
     (_with(Bucket, histogram=(("Cold", 2), ("Flu", 0))), "bucket 'b0': non-positive count"),
     (_with(Bucket, histogram=(("Cold", 1.5), ("Flu", 0.5))),
      "bucket 'b0': each count must be an integer"),
+    (_with(Bucket, histogram=(("Cold",), ("Flu", 1))),
+     "bucket 'b0': histogram entry ('Cold',) is not a (value, count) pair"),
+    (_with(Bucket, histogram="ab"),
+     "bucket 'b0': histogram entry 'a' is not a (value, count) pair"),
+    (_with(Bucket, histogram=(("Cold", 1, 2),)),
+     "bucket 'b0': histogram entry ('Cold', 1, 2) is not a (value, count) pair"),
+    (_with(Bucket, histogram=((3, 1), ("Flu", 1))),
+     "bucket 'b0': histogram entry (3, 1) is not a (value, count) pair"),
     (_with(Bucket, members=("a", "b", "c"), histogram=(("Cold", 1), ("Flu", 2))),
      "bucket 'b0': histogram not sorted"),
     (_with(Bucketization, buckets=(BUCKET, BUCKET)), "duplicate bucket id 'b0'"),
