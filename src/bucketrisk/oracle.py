@@ -36,7 +36,6 @@ from .errors import (
 )
 from .knowledge import (
     Atom,
-    BasicImplication,
     Knowledge,
     _check_atoms,
     knowledge_holds,
@@ -206,55 +205,45 @@ def knowledge_probability(
 # Brute-force maximum disclosure
 # ============================================================================
 
-def _impl_key(impl: BasicImplication) -> tuple:
-    return (
-        tuple((a.person, a.value) for a in impl.antecedents),
-        tuple((c.person, c.value) for c in impl.consequents),
-    )
-
-
 class _Best:
     """Running maximum with a deterministic lexicographic witness tie-break.
 
     Witnesses are compared by (target atom, sorted implication list); on equal
-    posterior values the smaller witness key wins. Targets come in (person,
-    value) order, so ``key`` holds the target's index and the chosen
-    implications' precomputed keys. Values compare by cross-multiplication,
-    so everything stays in integers. ``scan`` holds the target masks an offer
-    can still win with: a posterior cannot exceed 1, so once the value is 1
-    only the targets up to the best one can tie and win on a smaller key.
-    ``scan`` is always a prefix of the target list, so an index into it is
-    the target's index.
+    posterior values the smaller witness key wins. Atoms are listed in
+    (person, value) order, so comparing atom indices compares atoms, and
+    comparing (antecedent, consequent) index pairs compares the simple
+    implications they stand for: ``key`` holds the target's index and the
+    chosen pairs. Values compare by cross-multiplication, so everything stays
+    in integers. ``scan`` holds the target masks a conjunction can still win
+    with: a posterior cannot exceed 1, so once the value is 1 only the
+    targets up to the best one can tie and win on a smaller key. ``scan`` is
+    always a prefix of the target list, so an index into it is the target's
+    index.
     """
 
     def __init__(self, target_masks: list[int]) -> None:
         self.scan = target_masks
         self.num = -1
         self.den = 1
-        self.impls: tuple[BasicImplication, ...] = ()
         self.key: tuple = ()
 
-    def score(self, mask: int, impls: tuple[BasicImplication, ...], keys: tuple) -> None:
-        """Offer the conjunction with world set ``mask`` for its best target."""
+    def score(self, mask: int, pairs: tuple[tuple[int, int], ...]) -> None:
+        """Offer the conjunction with world set ``mask`` for its best target.
+
+        Its denominator is fixed, so the first target in ``scan`` with the
+        most worlds has the largest posterior and the least key among them.
+        """
         nums = [(mask & tmask).bit_count() for tmask in self.scan]
         num = max(nums, default=0)
-        if num:
-            self.offer(num, mask.bit_count(), impls, keys, nums.index(num))
-
-    def offer(
-        self,
-        num: int,
-        den: int,
-        impls: tuple[BasicImplication, ...],
-        keys: tuple,
-        index: int,
-    ) -> None:
+        if not num:
+            return
+        den = mask.bit_count()
+        index = nums.index(num)
         lhs = num * self.den
         rhs = self.num * den
-        if lhs < rhs or (lhs == rhs and (index, keys) >= self.key):
+        if lhs < rhs or (lhs == rhs and (index, pairs) >= self.key):
             return
-        self.num, self.den = num, den
-        self.impls, self.key = impls, (index, keys)
+        self.num, self.den, self.key = num, den, (index, pairs)
         if num == den:
             self.scan = self.scan[: index + 1]
 
@@ -290,15 +279,17 @@ def _atom_masks(bucketization: Bucketization) -> tuple[list[Atom], list[int], in
 
 
 def _dedup_implications(
-    pairs: Iterable[tuple[int, int]], atoms: list[Atom], masks: list[int], full: int
-) -> list[tuple[BasicImplication, int, tuple]]:
-    """The simple implications atoms[a] -> atoms[c] with distinct world-sets.
+    pairs: Iterable[tuple[int, int]], masks: list[int], full: int
+) -> list[tuple[tuple[int, int], int]]:
+    """The pairs (a, c) for atoms[a] -> atoms[c] with distinct world-sets.
 
-    Drops an implication whose world-set repeats, keeping the first
-    (lex-least). Sound for witness reconstruction: swapping an implication
-    for an earlier one with the same world-set never changes a conjunction's
-    world-set and never increases the witness sort key. Only kept
-    implications are built, each with its world-set and witness key.
+    Each kept pair comes with its world-set. A pair stands for its simple
+    implication throughout the search: atoms are in (person, value) order,
+    so pairs order as the implications' witness keys do. Drops a pair whose
+    world-set repeats, keeping the first (lex-least). Sound for witness
+    reconstruction: swapping an implication for an earlier one with the same
+    world-set never changes a conjunction's world-set and never increases
+    the witness sort key.
     """
     seen: set[int] = set()
     out = []
@@ -306,53 +297,32 @@ def _dedup_implications(
         mask = (full ^ masks[a]) | masks[c]
         if mask not in seen:
             seen.add(mask)
-            impl = simple_implication(atoms[a], atoms[c])
-            out.append((impl, mask, _impl_key(impl)))
+            out.append(((a, c), mask))
     return out
 
 
-def _search_subsets(
-    items: list[tuple[BasicImplication, int, tuple]],
-    k: int,
-    full: int,
-    best: _Best,
-) -> None:
-    """Maximize the posterior over conjunctions of <= k of the given implications.
-
-    Equals the maximum over exactly-k conjunctions: repeating a conjunct never
-    changes the formula. Subsets whose conjunction collapses onto a smaller,
-    already-visited subset are skipped. A conjunction's denominator is fixed,
-    so it makes one offer: the first target in ``best.scan`` with the most
-    worlds, which has the largest posterior and the least key among them.
-    Once the value is 1, ``best.scan`` ends at the best target.
-    """
-    best.score(full, (), ())
-    if k:
-        _extend_subsets(items, k, best, 0, full, (), ())
-
-
 def _extend_subsets(
-    items: list[tuple[BasicImplication, int, tuple]],
+    items: list[tuple[tuple[int, int], int]],
     k: int,
     best: _Best,
     start: int,
     mask: int,
-    chosen: tuple,
-    keys: tuple,
+    chosen: tuple[tuple[int, int], ...],
 ) -> None:
     """Score every conjunction of ``chosen`` with items[start:], up to k conjuncts.
 
-    Module level for the reason given at ``_walk_sequences``.
+    Subsets whose conjunction collapses onto a smaller, already-scored subset
+    are skipped. Module level for the reason given at ``_walk_sequences``.
     """
     for i in range(start, len(items)):
-        impl, imask, key = items[i]
+        pair, imask = items[i]
         combined = mask & imask
         if combined == 0 or combined == mask:
             continue  # inconsistent, or equivalent to the subset without i
-        impls, impl_keys = chosen + (impl,), keys + (key,)
-        best.score(combined, impls, impl_keys)
-        if len(impls) < k:
-            _extend_subsets(items, k, best, i + 1, combined, impls, impl_keys)
+        pairs = chosen + (pair,)
+        best.score(combined, pairs)
+        if len(pairs) < k:
+            _extend_subsets(items, k, best, i + 1, combined, pairs)
 
 
 def brute_force_max_disclosure(
@@ -378,6 +348,8 @@ def brute_force_max_disclosure(
     ``simple-common-consequent``) must fit ``budget``.
     """
     _check_count(k, "k")
+    if kind not in (SIMPLE, COMMON_CONSEQUENT, NEGATED_ATOMS):
+        raise ValidationError(f"unknown search family {kind!r}")
     if not bucketization.buckets:
         raise ValidationError("empty bucketization")
     wc = world_count(bucketization)
@@ -389,7 +361,7 @@ def brute_force_max_disclosure(
         groups = [itertools.product(range(n), repeat=2)]
     elif kind == COMMON_CONSEQUENT:
         groups = [[(a, c) for a in range(n)] for c in range(n)]
-    elif kind == NEGATED_ATOMS:
+    else:
         domain = bucketization.domain
         index = {atom: i for i, atom in enumerate(atoms)}
         # a 1-value domain cannot express a negation; only k=0 remains
@@ -400,15 +372,18 @@ def brute_force_max_disclosure(
             ]
             if len(domain) >= 2 else []
         ]
-    else:
-        raise ValidationError(f"unknown search family {kind!r}")
-    searches = [_dedup_implications(pairs, atoms, masks, full) for pairs in groups]
+    searches = [_dedup_implications(pairs, masks, full) for pairs in groups]
     count = sum(
         math.comb(len(items), j) for items in searches for j in range(min(k, len(items)) + 1)
     )
     if count > budget:
         raise BudgetExceededError(count, budget, "search conjunction count")
+    # at most k conjuncts: repeating one never changes the formula
     best = _Best(masks)
-    for items in searches:
-        _search_subsets(items, k, full, best)
-    return Fraction(best.num, best.den), Knowledge(best.impls), atoms[best.key[0]]
+    best.score(full, ())
+    if k:
+        for items in searches:
+            _extend_subsets(items, k, best, 0, full, ())
+    target, pairs = best.key
+    witness = Knowledge(tuple(simple_implication(atoms[a], atoms[c]) for a, c in pairs))
+    return Fraction(best.num, best.den), witness, atoms[target]

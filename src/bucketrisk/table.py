@@ -195,6 +195,13 @@ class Bucket(_Frozen):
         object.__setattr__(self, "histogram", histogram)
         if not self.members:
             raise ValidationError(f"bucket {self.bucket_id!r} is empty")
+        seen: set[str] = set()
+        for p in self.members:
+            if not isinstance(p, str):
+                raise ValidationError(f"bucket {self.bucket_id!r}: member {p!r} is not a string")
+            if p in seen:
+                raise ValidationError(f"bucket {self.bucket_id!r}: duplicate member {p!r}")
+            seen.add(p)
         name = f"bucket {self.bucket_id!r}: each count"
         for entry in self.histogram:
             if not (isinstance(entry, tuple) and len(entry) == 2 and isinstance(entry[0], str)):
@@ -220,12 +227,15 @@ class Bucket(_Frozen):
     ) -> Bucket:
         """A bucket of rows grouped by ``_bucketize`` or ``_buckets``.
 
-        It skips ``__init__``'s checks: that the bucket is not empty, and that
-        its counts are integers, positive, sorted and cover the members.
-        Grouping guarantees all of them: a group holds at least one row, its
-        histogram is ``_histogram`` of the tally of its rows' values, so its
-        counts are positive integers in descending order, and they sum to its
-        rows, one member each.
+        It skips ``__init__``'s checks: that the bucket is not empty, that its
+        members are distinct strings, and that its counts are integers,
+        positive, sorted and cover the members. Grouping guarantees all but
+        the members' type: a group holds at least one row, its members are
+        distinct because ``Table.__init__`` checks that person ids are unique,
+        its histogram is ``_histogram`` of the tally of its rows' values, so
+        its counts are positive integers in descending order, and they sum to
+        its rows, one member each. ``Table.__init__`` does not check that
+        person ids are strings.
         """
         bucket = object.__new__(cls)
         object.__setattr__(bucket, "bucket_id", bucket_id)

@@ -254,8 +254,9 @@ def test_brute_force_guards(demo_bucketization):
         brute_force_max_disclosure(demo_bucketization, -1)
     with pytest.raises(BudgetExceededError, match="search conjunction count"):
         brute_force_max_disclosure(demo_bucketization, 4)  # only the budget limits k
-    with pytest.raises(ValidationError):
-        brute_force_max_disclosure(demo_bucketization, 1, "no-such-family")
+    # the family is checked before the worlds are counted or enumerated
+    with pytest.raises(ValidationError, match="unknown search family 'no-such-family'"):
+        brute_force_max_disclosure(demo_bucketization, 1, "no-such-family", budget=0)
     with pytest.raises(BudgetExceededError):
         brute_force_max_disclosure(demo_bucketization, 1, budget=100)
     b = Bucketization((make_bucket("b", ["p", "q"], ["a", "b"]),), ("a", "b"))
@@ -340,7 +341,7 @@ def test_brute_force_matches_per_target_reference():
     for _ in range(60):
         b = random_bucketization(rng, max_tuples=7, min_values=2)
         for kind in FAMILIES:
-            for k in (0, 1, 2):
+            for k in (0, 1, 2, 3):
                 try:
                     got = brute_force_max_disclosure(b, k, kind, budget=5000)
                 except BudgetExceededError:

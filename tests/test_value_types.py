@@ -237,6 +237,8 @@ INVALID = [
     (_with(Table, domain=()), "sensitive domain is empty"),
     (_with(Table, domain=("Cold",)), "observed sensitive value(s) outside domain: ['Flu']"),
     (_with(Bucket, members=(), histogram=()), "bucket 'b0' is empty"),
+    (_with(Bucket, members=(3, "a")), "bucket 'b0': member 3 is not a string"),
+    (_with(Bucket, members=("a", "a")), "bucket 'b0': duplicate member 'a'"),
     (_with(Bucket, histogram=(("Cold", 1),)), "bucket 'b0': histogram does not cover members"),
     (_with(Bucket, histogram=(("Cold", 2), ("Flu", 0))), "bucket 'b0': non-positive count"),
     (_with(Bucket, histogram=(("Cold", 1.5), ("Flu", 0.5))),
