@@ -20,15 +20,16 @@ Two memoized dynamic programs do that:
 
 One across-bucket sweep at k fills a row whose entry h is the answer for h
 atoms, so it serves every h <= k. Three public readers share it:
-``max_disclosure`` reads entry k and backtracks a witness, whose persons
-come from the at most k + 1 buckets it names, ``disclosure_by_k`` the whole
-row and ``disclosure_at`` entry k alone. A decision reader,
-``disclosure_reaches``, asks only whether entry k reaches a threshold c and
-stops the sweep at the first bucket that proves it does. All four take
-count tuples, so a caller need not build buckets for them. With d_min the
-fewest distinct values in any bucket, both knowledge classes disclose
-exactly 1 from k = d_min - 1 on, so the last three sweep at most to
-d_min - 2 and answer from d_min - 1 on without one.
+``max_disclosure`` reads entry k and backtracks the placement and each
+named bucket's partition, ``disclosure_by_k`` the whole row and
+``disclosure_at`` entry k alone. A decision reader, ``disclosure_reaches``,
+asks only whether entry k reaches a threshold c and stops the sweep at the
+first bucket that proves it does. All four read count tuples alone and name
+no person: ``max_disclosure`` imports ``knowledge._witness`` when called, to
+spell its optimum out as atoms, so a search or a curve never loads the
+knowledge layer. With d_min the fewest distinct values in any bucket, both
+knowledge classes disclose exactly 1 from k = d_min - 1 on, so the last
+three sweep at most to d_min - 2 and answer from d_min - 1 on without one.
 
 The sweep runs from the last bucket to the first, fills a bucket's
 within-bucket minima only as far as its scans read them, and stops each scan
@@ -56,36 +57,40 @@ import numbers
 from contextvars import ContextVar
 from fractions import Fraction
 from itertools import accumulate
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from .errors import ValidationError, _check_count
-from .knowledge import Atom, BasicImplication, simple_implication
-from .table import Bucket, Bucketization, _Frozen
+from .table import Bucketization, _Frozen
+
+if TYPE_CHECKING:
+    from .knowledge import Atom, BasicImplication
+    from .table import Bucket
 
 Histograms = Bucketization | Sequence[tuple[int, ...]]
 
 
-def avoidance_probability(bucket: Bucket, parts: Sequence[int]) -> Fraction:
+def avoidance_probability(counts: tuple[int, ...], parts: Sequence[int]) -> Fraction:
     """Smallest probability that a set of atoms with this shape all fail.
 
-    ``parts`` gives per-person atom counts (non-increasing, each >= 1) for
-    len(parts) distinct persons of the bucket. The minimum over placements
-    sits at the most frequent values: person i carries atoms for the top
-    parts[i] values, and the probability that every atom is false is
+    ``counts`` is a bucket's count tuple, in descending order. ``parts``
+    gives per-person atom counts (non-increasing, each >= 1) for len(parts)
+    distinct persons of the bucket. The minimum over placements sits at the
+    most frequent values: person i carries atoms for the top parts[i]
+    values, and the probability that every atom is false is
 
         product over i of (n_b - i - (top parts[i] counts)) / (n_b - i).
 
     A non-positive numerator means no consistent world remains; the factor is
     clamped to 0. Counts past the bucket's distinct values are implicitly 0.
     """
-    n = bucket.size
+    _check_histogram(counts)
+    n = sum(counts)
     if len(parts) > n:
         raise ValidationError(f"{len(parts)} involved persons exceed bucket size {n}")
     for p in parts:
         _check_count(p, "each involved person's atom count", least=1)
     if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
         raise ValidationError("per-person atom counts must be non-increasing")
-    counts = bucket.counts
     value = Fraction(1)
     for i, p in enumerate(parts):
         numerator = n - i - sum(counts[:p])
@@ -229,16 +234,17 @@ def cache_info() -> Engine | None:
 
 
 def minimize_within_bucket(
-    bucket: Bucket, k: int, *, engine: Engine | None = None
+    counts: tuple[int, ...], k: int, *, engine: Engine | None = None
 ) -> tuple[Fraction, tuple[int, ...]]:
     """Minimum avoidance probability over k atoms in one bucket, with its shape.
 
-    Returns the minimum over all valid per-person count partitions of
+    ``counts`` is the bucket's count tuple, in descending order. Returns the
+    minimum over all valid per-person count partitions of
     ``avoidance_probability`` together with a minimizing partition (which may
     use fewer than k atoms only when the value is already 0).
     """
     _check_count(k, "k")
-    table = _session(engine).table(bucket.counts)
+    table = _session(engine).table(counts)
     numerator, denominator, _ = table.minimize(0, k, k)
     return Fraction(numerator, denominator), table.best_partition(k)
 
@@ -587,24 +593,6 @@ class DisclosureReport(_Frozen):
         object.__setattr__(self, "implications", implications)
 
 
-def _partition_atoms(bucket: Bucket, parts: Sequence[int]) -> list[Atom]:
-    """Materialize a partition as atoms on the bucket's first persons.
-
-    Person i carries the top parts[i] values, so person 0's top-value atom
-    comes first. Indices past the distinct values have count 0: such atoms
-    change nothing (the closed form adds 0 and the implication is vacuous),
-    so they are dropped.
-    """
-    atoms = []
-    for person_index, p in enumerate(parts):
-        person = bucket.members[person_index]
-        for j in range(p):
-            value = bucket.value_at(j)
-            if value is not None:
-                atoms.append(Atom(person, value))
-    return atoms
-
-
 def max_disclosure(
     histograms: Histograms,
     k: int,
@@ -620,6 +608,8 @@ def max_disclosure(
     order given, each with its count tuple's histogram (for example
     ``table.buckets_at``); a bucketization supplies its own.
     """
+    from .knowledge import _witness
+
     if isinstance(histograms, Bucketization):
         own = histograms.buckets
         buckets = lambda indices: [own[i] for i in indices]
@@ -628,34 +618,20 @@ def max_disclosure(
         raise ValidationError("count tuples need buckets= to build a witness")
     engine = _session(engine)
     ratio, placement = minimize_across_buckets(histograms, k, engine=engine)
-    disclosure = 1 / (1 + ratio)
     # atom slots per bucket, the target's slot included
     slots = list(placement.atom_counts)
     slots[placement.target_bucket] += 1
-    named = [i for i, c in enumerate(slots) if c]
-    antecedents: list[Atom] = []
-    for i, b in zip(named, buckets(named), strict=True):
-        if b.counts != histograms[i]:
-            raise ValidationError(f"bucket {b.bucket_id!r} does not match histogram {i}")
-        here = i == placement.target_bucket
-        if here:
-            target = Atom(b.members[0], b.histogram[0][0])
-        atoms = _partition_atoms(b, engine.table(histograms[i]).best_partition(slots[i]))
-        antecedents.extend(atoms[1:] if here else atoms)  # atoms[0] is the target
-
-    implications = [simple_implication(a, target) for a in antecedents]
-    while len(implications) < k:
-        # a repeated conjunct (or target->target) changes nothing
-        implications.append(
-            implications[0] if implications else simple_implication(target, target)
-        )
+    parts = {i: engine.table(histograms[i]).best_partition(c) for i, c in enumerate(slots) if c}
+    target, antecedents, implications = _witness(
+        histograms, parts, placement.target_bucket, buckets, k
+    )
     return DisclosureReport(
-        disclosure=disclosure,
+        disclosure=1 / (1 + ratio),
         ratio=ratio,
         target=target,
-        antecedents=tuple(i.antecedents[0] for i in implications),
+        antecedents=antecedents,
         bucket_atom_counts=tuple(slots),
-        implications=tuple(implications),
+        implications=implications,
     )
 
 

@@ -10,6 +10,10 @@ value, "p's value is not s" is expressed exactly by the implication
 (p=s) -> (p=s') for any s' != s; ``negation_as_implication`` picks the
 canonical s' (smallest domain value != s in lexicographic order).
 
+The engine answers from count tuples and names no person: ``_witness`` spells
+its optimum, a placement and each named bucket's per-person atom counts, out
+as the atoms and implications of a witness for ``engine.max_disclosure``.
+
 File grammar (one implication per line, ``#`` starts a comment):
 
     impl := '(' conj ')' '->' '(' disj ')'
@@ -25,10 +29,10 @@ An ident or value is a bare word (``_WORD``: no blank, tab, ``#``, ``"``,
 from __future__ import annotations
 
 import re
-from typing import Container, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Container, Iterable, Iterator, Mapping, Sequence
 
 from .errors import ParseError, ValidationError
-from .table import Table, _Frozen
+from .table import Bucket, Table, _Frozen
 
 
 class Atom(_Frozen):
@@ -183,6 +187,41 @@ def negation_as_implication(atom: Atom, domain: Sequence[str]) -> BasicImplicati
             f"cannot negate {atom}: domain has no alternative value"
         )
     return simple_implication(atom, Atom(atom.person, alternatives[0]))
+
+
+def _witness(
+    histograms: Sequence[tuple[int, ...]],
+    parts: Mapping[int, tuple[int, ...]],
+    target_bucket: int,
+    buckets: Callable[[Sequence[int]], Sequence[Bucket]],
+    k: int,
+) -> tuple[Atom, tuple[Atom, ...], tuple[BasicImplication, ...]]:
+    """The target, antecedents and k implications of the engine's optimum.
+
+    ``parts`` maps each bucket index the optimum names, ascending, to its
+    per-person atom counts; ``buckets`` builds those buckets, which must hold
+    the count tuples ``histograms`` holds there. Person i of a bucket carries
+    the top parts[i] values, so the target's bucket starts with the target.
+    Values past the distinct ones are dropped, and the witness is padded to
+    k implications: neither a zero-count atom nor a repeated conjunct (or
+    target->target) changes anything.
+    """
+    built = list(buckets(list(parts)))
+    if len(built) != len(parts):
+        raise ValidationError(f"buckets= returned {len(built)} buckets, not {len(parts)}")
+    antecedents: list[Atom] = []
+    for i, b in zip(parts, built):
+        if not isinstance(b, Bucket):
+            raise ValidationError(f"buckets= returned {b!r}, not a Bucket")
+        if b.counts != histograms[i]:
+            raise ValidationError(f"bucket {b.bucket_id!r} does not match histogram {i}")
+        atoms = [Atom(b.members[person], value)
+                 for person, p in enumerate(parts[i]) for value, _ in b.histogram[:p]]
+        if i == target_bucket:
+            target = atoms.pop(0)
+        antecedents += atoms
+    antecedents += [antecedents[0] if antecedents else target] * (k - len(antecedents))
+    return target, tuple(antecedents), tuple(simple_implication(a, target) for a in antecedents)
 
 
 # ============================================================================

@@ -375,6 +375,7 @@ def all_minimal_safe(
     """
     from .engine import Engine
 
+    _check_count(budget, "budget")
     size = hierarchy.size()
     if size > budget:
         raise BudgetExceededError(size, budget)

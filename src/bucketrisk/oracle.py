@@ -139,6 +139,7 @@ def _posterior_projected(
     posterior, so they are skipped entirely (the returned total is the weight
     sum over the enumerated projection).
     """
+    _check_count(budget, "budget")
     mentioned = {a.person for a in knowledge.atoms()}
     if target is not None:
         mentioned.add(target.person)
@@ -348,6 +349,7 @@ def brute_force_max_disclosure(
     ``simple-common-consequent``) must fit ``budget``.
     """
     _check_count(k, "k")
+    _check_count(budget, "budget")
     if kind not in (SIMPLE, COMMON_CONSEQUENT, NEGATED_ATOMS):
         raise ValidationError(f"unknown search family {kind!r}")
     if not bucketization.buckets:

@@ -114,7 +114,8 @@ class Table(_Frozen):
     the rows as tuples in that order, person id first. ``domain`` is the
     sensitive domain: every observed value plus any declared extras, sorted
     lexicographically. The sort order is the package's canonical value order
-    (used for negation encoding and witness tie-breaking).
+    (used for negation encoding and witness tie-breaking). Person ids,
+    attribute values, sensitive values and domain values are strings.
     """
 
     # no __slots__: the instance dict holds the cached row_of
@@ -142,6 +143,7 @@ class Table(_Frozen):
         ):
             raise ValidationError("columns are not aligned with the person ids")
         unique = set(self.person_ids)
+        _check_strings(unique, self.person_ids, "person id")
         if len(unique) != n or "" in unique:
             # walk the rows only on failure, to name the first offender
             seen: set[str] = set()
@@ -151,13 +153,17 @@ class Table(_Frozen):
                 if person_id in seen:
                     raise ValidationError(f"duplicate person id {person_id!r}")
                 seen.add(person_id)
+        for attribute, column in zip(self.attributes, self.columns):
+            _check_strings(column, column, f"attribute {attribute!r}: value")
         if not self.domain:
             raise ValidationError("sensitive domain is empty")
         observed = set(self.sensitive)
-        if not observed <= set(self.domain):
+        _check_strings(observed, self.sensitive, "sensitive value")
+        domain = set(self.domain)
+        _check_strings(domain, self.domain, "domain value")
+        if not observed <= domain:
             raise ValidationError(
-                f"observed sensitive value(s) outside domain: "
-                f"{sorted(observed - set(self.domain))}"
+                f"observed sensitive value(s) outside domain: {sorted(observed - domain)}"
             )
 
     @cached_property
@@ -169,6 +175,18 @@ class Table(_Frozen):
     def records(self) -> tuple[tuple[str, ...], ...]:
         """The rows as ``(person_id, *attribute values, sensitive)`` tuples."""
         return tuple(zip(self.person_ids, *self.columns, self.sensitive))
+
+
+def _check_strings(values: Iterable[object], ordered: Iterable[object], what: str) -> None:
+    """Refuse ``values`` unless each is a string, naming the first
+    non-string of ``ordered``, the same values in the order to report them.
+
+    Only the set of the values' types is built, so a column costs one pass
+    at C speed, and a set of its distinct values less.
+    """
+    if not all(issubclass(t, str) for t in set(map(type, values))):
+        bad = next(v for v in ordered if not isinstance(v, str))
+        raise ValidationError(f"{what} {bad!r} is not a string")
 
 
 # a histogram pair's count
@@ -229,13 +247,12 @@ class Bucket(_Frozen):
 
         It skips ``__init__``'s checks: that the bucket is not empty, that its
         members are distinct strings, and that its counts are integers,
-        positive, sorted and cover the members. Grouping guarantees all but
-        the members' type: a group holds at least one row, its members are
-        distinct because ``Table.__init__`` checks that person ids are unique,
+        positive, sorted and cover the members. Grouping guarantees them all:
+        a group holds at least one row, its members are distinct strings
+        because ``Table.__init__`` checks that person ids are unique strings,
         its histogram is ``_histogram`` of the tally of its rows' values, so
         its counts are positive integers in descending order, and they sum to
-        its rows, one member each. ``Table.__init__`` does not check that
-        person ids are strings.
+        its rows, one member each.
         """
         bucket = object.__new__(cls)
         object.__setattr__(bucket, "bucket_id", bucket_id)
@@ -519,9 +536,12 @@ def buckets_at(
 
     Buckets come in the order of ``indices``, equal to partition's, and no
     other bucket is built. This is how a witness names persons when the
-    engine ran on ``histograms``.
+    engine ran on ``histograms``. Each index is an integer from 0 to the
+    number of buckets less one.
     """
     indices = list(indices)
+    for i in indices:
+        _check_count(i, "each bucket index")
     built = _buckets(table, _keys(table, assignment, by), set(indices))
     return [built[i] for i in indices]
 
@@ -594,6 +614,8 @@ def _buckets(
     groups: dict[tuple[str, ...], list[int]] = {}
     for row, key in enumerate(keys):
         groups.setdefault(key, []).append(row)
+    if wanted and max(wanted) >= len(groups):
+        raise ValidationError(f"bucket index {max(wanted)} out of range for {len(groups)} buckets")
     person_ids, values = table.person_ids, table.sensitive
     buckets = {}
     for index, (bucket_id, rows) in enumerate(zip(_bucket_ids(groups), groups.values())):

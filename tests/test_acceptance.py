@@ -199,7 +199,7 @@ def test_criterion_4_closed_form_vs_counting():
             negations = Knowledge(
                 tuple(negation_as_implication(a, domain) for a in atoms)
             )
-            assert avoidance_probability(bucket, parts) == knowledge_probability(
+            assert avoidance_probability(bucket.counts, parts) == knowledge_probability(
                 b13n, negations
             )
         buckets += 1

@@ -13,17 +13,24 @@ from fractions import Fraction
 import pytest
 
 from bucketrisk import (
+    Atom,
+    Bucket,
+    Bucketization,
     Hierarchy,
+    Knowledge,
     SafetyThreshold,
     SkewedSingleBucketFamily,
     ValidationError,
     all_minimal_safe,
     apply,
     brute_force_max_disclosure,
+    buckets_at,
     disclosure_at,
     disclosure_by_k,
     disclosure_reaches,
     entropy_vs_disclosure,
+    exact_posterior,
+    knowledge_probability,
     load_hierarchy,
     load_table,
     max_disclosure,
@@ -39,6 +46,10 @@ BUCKETS = partition(TABLE, by=("Sex",))
 HISTOGRAMS = [b.counts for b in BUCKETS.buckets]  # [(2, 2, 1), (2, 1, 1, 1)]
 HIERARCHY = load_hierarchy(DATA / "clinic-hierarchy.json")
 FAMILY = SkewedSingleBucketFamily(domain_size=3, per_value=2)
+# one person with one value, and a one-node lattice: each budget call below
+# fits a budget of 1
+ONE = Bucketization((Bucket("b", ("a",), (("x", 1),)),), ("x",))
+FLAT = Hierarchy(("Sex",), {"Sex": ()})
 
 # (call id, call with one count, its name in the messages, least value); a
 # least value of None means the call states its own range
@@ -48,7 +59,7 @@ CALLS = [
     ("disclosure_by_k", lambda v: disclosure_by_k(HISTOGRAMS, v), "k_max", 0),
     ("disclosure_reaches", lambda v: disclosure_reaches(HISTOGRAMS, v, Fraction(1, 2)), "k", 0),
     ("minimize_across_buckets", lambda v: minimize_across_buckets(HISTOGRAMS, v), "k", 0),
-    ("minimize_within_bucket", lambda v: minimize_within_bucket(BUCKETS.buckets[0], v), "k", 0),
+    ("minimize_within_bucket", lambda v: minimize_within_bucket(HISTOGRAMS[0], v), "k", 0),
     ("max_disclosure_negated_atoms", lambda v: max_disclosure_negated_atoms(HISTOGRAMS, v),
      "k", 0),
     ("SafetyThreshold", lambda v: SafetyThreshold(Fraction(1, 2), v), "threshold k", 0),
@@ -60,6 +71,15 @@ CALLS = [
      lambda v: SkewedSingleBucketFamily(domain_size=3, per_value=v), "per_value", 1),
     ("Hierarchy.check_node", lambda v: apply(TABLE, HIERARCHY, (v, 0, 0)),
      "level of attribute 'Zip'", None),
+    ("buckets_at", lambda v: buckets_at(TABLE, [v], by=("Sex",)), "each bucket index", 0),
+    ("exact_posterior.budget",
+     lambda v: exact_posterior(ONE, Knowledge(), Atom("a", "x"), budget=v), "budget", 0),
+    ("knowledge_probability.budget", lambda v: knowledge_probability(ONE, Knowledge(), budget=v),
+     "budget", 0),
+    ("brute_force_max_disclosure.budget",
+     lambda v: brute_force_max_disclosure(ONE, 0, budget=v), "budget", 0),
+    ("all_minimal_safe.budget",
+     lambda v: all_minimal_safe(TABLE, FLAT, SafetyThreshold(1, 0), budget=v), "budget", 0),
 ]
 
 
@@ -90,6 +110,15 @@ def test_every_count_argument_refuses_a_bad_value(call, value, message):
 @pytest.mark.parametrize("call", [c for _, c, _, _ in CALLS], ids=[i for i, *_ in CALLS])
 def test_true_is_accepted_as_1(call):
     assert call(True) == call(1)
+
+
+def test_buckets_at_refuses_an_index_past_the_last_bucket():
+    # an index out of range was a KeyError
+    assert buckets_at(TABLE, [1, 0], by=("Sex",)) == [BUCKETS.buckets[1], BUCKETS.buckets[0]]
+    for indices in ([2], [0, 9], [10**30]):
+        with pytest.raises(ValidationError) as error:
+            buckets_at(TABLE, indices, by=("Sex",))
+        assert str(error.value) == f"bucket index {max(indices)} out of range for 2 buckets"
 
 
 def test_entropy_series_are_labelled_by_the_integer_k():

@@ -64,7 +64,7 @@ def partitions(total, cap=None):
 
 
 def test_avoidance_goldens(demo_bucketization):
-    male = demo_bucketization.buckets[0]  # counts (2, 2, 1)
+    male = demo_bucketization.buckets[0].counts  # (2, 2, 1)
     assert avoidance_probability(male, []) == 1
     assert avoidance_probability(male, [1]) == Fraction(3, 5)
     assert avoidance_probability(male, [2]) == Fraction(1, 5)
@@ -74,13 +74,32 @@ def test_avoidance_goldens(demo_bucketization):
 
 
 def test_avoidance_validation(demo_bucketization):
-    male = demo_bucketization.buckets[0]
+    male = demo_bucketization.buckets[0].counts
     with pytest.raises(ValidationError):
         avoidance_probability(male, [1, 2])  # increasing
     with pytest.raises(ValidationError):
         avoidance_probability(male, [1] * 6)  # more persons than the bucket
     with pytest.raises(ValidationError):
         avoidance_probability(male, [0])
+
+
+def test_per_bucket_functions_take_count_tuples_only(demo_bucketization):
+    bucket = demo_bucketization.buckets[0]
+    assert avoidance_probability(bucket.counts, [1]) == Fraction(3, 5)
+    assert minimize_within_bucket(bucket.counts, 1) == (Fraction(3, 5), (1,))
+    refusals = [
+        (bucket, f"{bucket!r} is not a count tuple"),
+        ((), "() is not a count tuple"),
+        ([2, 2, 1], "[2, 2, 1] is not a count tuple"),
+        ((1, 2), "count tuple (1, 2) is not descending"),
+        ((2, 0), "count tuple (2, 0): each count must be >= 1"),
+    ]
+    for counts, message in refusals:
+        for call in (lambda: avoidance_probability(counts, [1]),
+                     lambda: minimize_within_bucket(counts, 1)):
+            with pytest.raises(ValidationError) as error:
+                call()
+            assert str(error.value) == message
 
 
 @given(seed=st.integers(min_value=0, max_value=10_000))
@@ -108,13 +127,13 @@ def test_avoidance_equals_world_counting(seed):
     negations = Knowledge(
         tuple(negation_as_implication(a, b13n.domain) for a in atoms)
     )
-    assert avoidance_probability(bucket, parts) == knowledge_probability(
+    assert avoidance_probability(bucket.counts, parts) == knowledge_probability(
         b13n, negations
     )
 
 
 def test_minimize_within_goldens(demo_bucketization):
-    male = demo_bucketization.buckets[0]
+    male = demo_bucketization.buckets[0].counts
     assert minimize_within_bucket(male, 0) == (1, ())
     assert minimize_within_bucket(male, 1) == (Fraction(3, 5), (1,))
     assert minimize_within_bucket(male, 2) == (Fraction(1, 5), (2,))
@@ -136,15 +155,15 @@ def test_minimize_within_equals_enumeration(seed):
     )
     bucket = bucket_from_counts(counts)
     k = rng.randint(0, 4)
-    value, parts = minimize_within_bucket(bucket, k)
+    value, parts = minimize_within_bucket(bucket.counts, k)
     explicit = min(
-        avoidance_probability(bucket, p)
+        avoidance_probability(bucket.counts, p)
         for p in partitions(k)
         if len(p) <= bucket.size
     )
     assert value == explicit
     # the reported shape achieves the value (possibly with fewer atoms at 0)
-    assert avoidance_probability(bucket, parts) == value
+    assert avoidance_probability(bucket.counts, parts) == value
     assert sum(parts) == k or (value == 0 and sum(parts) < k)
 
 
@@ -727,6 +746,16 @@ def test_witness_from_count_tuples_needs_matching_buckets(demo_bucketization):
     counts = [b.counts for b in demo_bucketization.buckets]
     with pytest.raises(ValidationError, match="^count tuples need buckets= to build a witness$"):
         max_disclosure(counts, 1)
-    swapped = lambda indices: [demo_bucketization.buckets[1 - i] for i in indices]
-    with pytest.raises(ValidationError, match="^bucket 'F' does not match histogram 0$"):
-        max_disclosure(counts, 1, swapped)
+    own = demo_bucketization.buckets
+    # at k = 1 the witness names bucket 0 alone
+    builders = [
+        (lambda indices: [own[1 - i] for i in indices], "bucket 'F' does not match histogram 0"),
+        (lambda indices: [], "buckets= returned 0 buckets, not 1"),
+        (lambda indices: [*own, *own], "buckets= returned 4 buckets, not 1"),
+        (lambda indices: [own[i].counts for i in indices],
+         "buckets= returned (2, 2, 1), not a Bucket"),
+    ]
+    for build, message in builders:
+        with pytest.raises(ValidationError) as error:
+            max_disclosure(counts, 1, build)
+        assert str(error.value) == message

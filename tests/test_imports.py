@@ -3,9 +3,10 @@ collector, and the package namespace that hides the deferred layers.
 
 ``import bucketrisk`` loads errors and table, the layers that load and
 bucketize a table; every other layer loads the first time one of its names is
-read. The command line loads the four core layers (errors, table, knowledge,
-engine) before click. Every check on what a process loaded or left behind
-runs in a fresh interpreter.
+read. The engine answers from count tuples, so only a witness loads
+knowledge. The command line loads the four core layers (errors, table,
+knowledge, engine) before click. Every check on what a process loaded or left
+behind runs in a fresh interpreter.
 """
 
 import gc
@@ -98,7 +99,33 @@ def test_bucketizing_loads_no_engine_until_a_search_runs():
         "minimal = lattice.all_minimal_safe(t, h, lattice.SafetyThreshold(Fraction(7, 10), 1))\n"
         "assert minimal == [(1, 1, 0)], minimal"
     )
-    assert loaded_after(SETUP + search) == {*CORE, "bucketrisk.lattice"}
+    # the engine answers from count tuples: a search never needs an atom
+    assert loaded_after(SETUP + search) == {*PACKAGE, "bucketrisk.engine", "bucketrisk.lattice"}
+
+
+COUNTS = f"""
+from bucketrisk import table
+t = table.load_table({str(DATA / "clinic.csv")!r}, "Disease", id_column="Name")
+counts = table.histograms(t, by=["Sex"])
+"""
+
+
+@pytest.mark.parametrize(
+    "call, layers",
+    [
+        ("from bucketrisk.curves import disclosure_vs_k\ndisclosure_vs_k(counts, 2)",
+         {"bucketrisk.engine", "bucketrisk.curves"}),
+        ("from bucketrisk.engine import disclosure_at\n"
+         "assert str(disclosure_at(counts, 1)) == '2/3'", {"bucketrisk.engine"}),
+        ("from functools import partial\n"
+         "from bucketrisk.engine import max_disclosure\n"
+         "max_disclosure(counts, 1, partial(table.buckets_at, t, by=['Sex']))",
+         {"bucketrisk.engine", "bucketrisk.knowledge"}),
+    ],
+    ids=["disclosure_vs_k", "disclosure_at", "max_disclosure"],
+)
+def test_only_a_witness_loads_the_knowledge_layer(call, layers):
+    assert loaded_after(COUNTS + call) == {*PACKAGE, *layers}
 
 
 @pytest.mark.parametrize(

@@ -236,6 +236,13 @@ INVALID = [
     (_with(Table, person_ids=("a", "a")), "duplicate person id 'a'"),
     (_with(Table, domain=()), "sensitive domain is empty"),
     (_with(Table, domain=("Cold",)), "observed sensitive value(s) outside domain: ['Flu']"),
+    (_with(Table, person_ids=(3, "a")), "person id 3 is not a string"),
+    (_with(Table, person_ids=("a", b"b")), "person id b'b' is not a string"),
+    (_with(Table, columns=(("M", 1),)), "attribute 'Sex': value 1 is not a string"),
+    (_with(Table, columns=((None, "F"),)), "attribute 'Sex': value None is not a string"),
+    (_with(Table, sensitive=("Flu", 2)), "sensitive value 2 is not a string"),
+    (_with(Table, sensitive=(None, None), domain=(None,)), "sensitive value None is not a string"),
+    (_with(Table, domain=("Cold", "Flu", 1.5)), "domain value 1.5 is not a string"),
     (_with(Bucket, members=(), histogram=()), "bucket 'b0' is empty"),
     (_with(Bucket, members=(3, "a")), "bucket 'b0': member 3 is not a string"),
     (_with(Bucket, members=("a", "a")), "bucket 'b0': duplicate member 'a'"),
