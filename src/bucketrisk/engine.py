@@ -108,14 +108,20 @@ class _BucketTable:
     """Memoized minimizer of the avoidance probability for one histogram.
 
     States are (person index, cap on this person's atom count, atoms left);
-    person i may take 1..cap atoms (caps enforce the non-increasing partition
-    shape) or the walk may stop. Stopping early never undercuts the exact-k
-    minimum (growing the largest part only shrinks the value), so the result
-    equals the minimum over partitions of exactly k atoms, and minimize(0, h,
-    h) is non-increasing in h. A cap above the atoms left allows nothing
-    more than a cap equal to them, so states are keyed by min(cap, rem).
-    ``memo`` maps a state to (numerator, denominator, atoms for person i);
-    ``rest[j]`` is n minus the sum of the j largest counts (0 from j = d on).
+    person i takes 1..cap atoms (caps enforce the non-increasing partition
+    shape). A cap above the atoms left allows nothing more than a cap equal
+    to them, so states are keyed by min(cap, rem). ``memo`` maps a state to
+    (numerator, denominator, atoms for person i); ``rest[j]`` is n minus the
+    sum of the j largest counts (0 from j = d on).
+
+    The cover rule, for a bucket of d distinct values: minimize(0, h, h) is
+    (0, 1) exactly when h >= d, where one person carries an atom for every
+    value, and the root state answers that without a walk. Below d every
+    factor is positive: person i holding p atoms has numerator rest[p] - i
+    >= (d - p) - i >= i*(p - 1) + 1, because the i persons before it hold
+    at least i*p of the h <= d - 1 atoms and each of the d - p values
+    outside the top p counts at least 1. So no walk meets a zero, and every
+    minimizing partition has exactly h atoms.
     """
 
     __slots__ = ("n", "rest", "memo", "evaluations")
@@ -127,7 +133,7 @@ class _BucketTable:
         self.evaluations = 0
 
     def minimize(self, i: int, cap: int, rem: int) -> tuple[int, int, int]:
-        if rem == 0 or i >= self.n:
+        if rem == 0:
             return (1, 1, 0)
         cap = min(cap, rem)  # a cap above rem allows nothing more
         key = (i, cap, rem)
@@ -136,23 +142,17 @@ class _BucketTable:
             return hit
         self.evaluations += 1
         rest = self.rest
-        if cap >= len(rest):  # more atoms than values: no world remains
+        if cap >= len(rest) - 1:  # the cover rule: one person covers every value
             return self.memo.setdefault(key, (0, 1, cap))
         denominator = self.n - i
         best_n, best_d, best_ki = 1, 1, 0
         # descending so ties prefer concentrated shapes (fewer persons)
         for ki in range(cap, 0, -1):
-            numerator = rest[ki] - i
-            if numerator <= 0:
-                best_n, best_d, best_ki = 0, 1, ki
-                break  # nothing is below 0
             sub_n, sub_d, _ = self.minimize(i + 1, ki, rem - ki)
-            cand_n = numerator * sub_n
+            cand_n = (rest[ki] - i) * sub_n
             cand_d = denominator * sub_d
             if cand_n * best_d < best_n * cand_d:
                 best_n, best_d, best_ki = cand_n, cand_d, ki
-                if cand_n == 0:
-                    break
         best = self.memo[key] = (best_n, best_d, best_ki)
         return best
 
@@ -161,10 +161,8 @@ class _BucketTable:
         self.minimize(0, k, k)
         parts = []
         i, cap, rem = 0, k, k
-        while rem > 0 and i < self.n:
-            ki = self.memo.get((i, min(cap, rem), rem), (1, 1, 0))[2]
-            if ki == 0:
-                break  # stopped early: value already 0 with fewer atoms
+        while rem > 0:
+            ki = self.memo[i, min(cap, rem), rem][2]
             parts.append(ki)
             i, cap, rem = i + 1, ki, rem - ki
         return tuple(parts)
@@ -189,13 +187,10 @@ class Engine:
         self.repeat_rows = 0
 
     def table(self, counts: tuple[int, ...]) -> _BucketTable:
-        """The session's table for this histogram, checked and made on first use."""
-        try:
-            table = self.tables.get(counts)
-        except TypeError:  # unhashable, so no count tuple
-            table = None
+        """The session's table for this histogram, made on first use (unchecked:
+        every reader passes its input through ``_checked_counts`` first)."""
+        table = self.tables.get(counts)
         if table is None:
-            _check_histogram(counts)
             table = self.tables[counts] = _BucketTable(counts)
         return table
 
@@ -240,11 +235,13 @@ def minimize_within_bucket(
 
     ``counts`` is the bucket's count tuple, in descending order. Returns the
     minimum over all valid per-person count partitions of
-    ``avoidance_probability`` together with a minimizing partition (which may
-    use fewer than k atoms only when the value is already 0).
+    ``avoidance_probability`` together with a minimizing partition of
+    exactly k atoms. From k = d, the bucket's distinct values, on the value
+    is 0 and the partition is (k,): one person covers every value.
     """
-    _check_count(k, "k")
-    table = _session(engine).table(counts)
+    engine = _session(engine)
+    _checked_counts([counts], k, engine)
+    table = engine.table(counts)
     numerator, denominator, _ = table.minimize(0, k, k)
     return Fraction(numerator, denominator), table.best_partition(k)
 
@@ -270,6 +267,9 @@ class Placement(_Frozen):
 
 def _check_histogram(counts: object) -> None:
     """Refuse what is not a count tuple: positive integers, descending."""
+    if (type(counts) is tuple and counts and {*map(type, counts)} == {int}
+            and counts[-1] > 0 and counts == tuple(sorted(counts, reverse=True))):
+        return  # plain ints, checked without a call per count; the rest names a fault
     if not isinstance(counts, tuple) or not counts:
         raise ValidationError(f"{counts!r} is not a count tuple")
     try:
@@ -282,12 +282,14 @@ def _check_histogram(counts: object) -> None:
 
 
 def _checked_counts(
-    histograms: Histograms, k: int, name: str = "k"
+    histograms: Histograms, k: int, engine: Engine, name: str = "k"
 ) -> tuple[Sequence[tuple[int, ...]], int]:
     """Check k and the input; return the count tuples and d_min - 1.
 
-    A bucketization becomes its count tuples; count tuples pass through, and
-    ``Engine.table`` checks each distinct one. d_min - 1 is the k from which
+    A bucketization becomes its count tuples. Each distinct count tuple that
+    the session holds no table for is checked here, first to last, so a
+    reader that answers without reading a tuple's counts (a saturated k, a
+    stopped sweep) refuses a malformed one too. d_min - 1 is the k from which
     both knowledge classes disclose exactly 1: in a bucket of d_min distinct
     values, one person can carry the target (its top value) plus an atom, or
     a negation, for each of the d_min - 1 other values. No world then gives
@@ -300,13 +302,12 @@ def _checked_counts(
     if not histograms:
         raise ValidationError("empty bucketization")
     try:
-        shortest = min(map(len, histograms))
-    except TypeError:  # an entry without a length
-        shortest = 0
-    if shortest == 0:  # some entry is empty or no count tuple: name the first
-        for counts in histograms:
-            _check_histogram(counts)
-    return histograms, shortest - 1
+        unseen = [c for c in dict.fromkeys(histograms) if c not in engine.tables]
+    except TypeError:  # an unhashable entry, so no count tuple: name the first
+        unseen = histograms
+    for counts in unseen:
+        _check_histogram(counts)
+    return histograms, min(map(len, histograms)) - 1
 
 
 def _at_most(pair: tuple[int, int], bound: tuple[int, int]) -> bool:
@@ -338,11 +339,12 @@ def _across_sweep(
     m - 2 down to 0.
 
     A bucket's within-bucket minima are filled only as far as its scans
-    read them. The t-row below it (buckets i+1.., target placed) is
-    non-increasing in h, because each within-bucket minimum is. So from its
-    first zero entry z on, every entry is zero, and every scan of row i at
-    h >= z takes the zero at hp = 0 and stops: no later candidate is
-    strictly below 0.
+    read them. Let z be min(k + 1, the fewest distinct values among buckets
+    i+1..). By the cover rule of ``_BucketTable``, the t-row below bucket i
+    (buckets i+1.., target placed) is 0 exactly from entry z on: h atoms
+    can cover a later bucket's values iff h >= z, and below that every
+    factor is positive. So every scan of row i at h >= z takes the zero at
+    hp = 0 and stops: no later candidate is strictly below 0.
 
     Nor does a scan read past the shares of bucket i that no earlier
     candidate dominates. Let s (``seen``) count the buckets after i with
@@ -355,10 +357,9 @@ def _across_sweep(
     candidate of that share is no larger, and the strict-< scan never picks
     hp. A candidate that can win thus needs each of the s copies to hold at
     least hp atoms, s * hp <= h - hp, and both scans of entry h stop at
-    hp = h // (s + 1). Row i reads minima for at most max(z, 1) atoms
-    (z = k + 1 when no entry is zero), with the same values, back-pointers
-    and counts as a sweep that filled all k + 2 minima and scanned every
-    hp <= h.
+    hp = h // (s + 1). Row i reads minima for at most z >= 1 atoms, with
+    the same values, back-pointers and counts as a sweep that filled all
+    k + 2 minima and scanned every hp <= h.
 
     At s > k (``copies``) the bound is 0 for every h, and the bucket is not
     scanned: its t-row is the row below with back-pointer 0, and its f-row
@@ -379,13 +380,14 @@ def _across_sweep(
     table = engine.table(counts)
     nb, top = table.n, counts[0]
     wbi = [table.minimize(0, h, h) for h in range(k + 2)]
-    t_next = [(0, 1) if wn == 0 else (wn, wd) for wn, wd, _ in wbi[:-1]]
+    t_next = [(wn, wd) for wn, wd, _ in wbi[:-1]]
     f_next = [(wn * nb, wd * top) for wn, wd, _ in wbi[1:]]
     choice_t: list[list[int]] = [[]] * (m - 1) + [list(range(k + 1))]
     choice_f: list[list[int]] = [[]] * (m - 1) + [list(range(1, 2 * k + 2, 2))]
     copies = {counts: 1}  # occurrences after bucket i
     repeats: dict[tuple[int, ...], list] = {}  # target-here products, per histogram
     i = m - 1  # t_next and f_next are bucket i's rows
+    z = min(k + 1, len(counts))  # t_next is 0 exactly from entry z on
     stopped = stop is not None and _at_most(f_next[k], stop)
 
     while i and not stopped:
@@ -406,8 +408,7 @@ def _across_sweep(
             choice_t[i], choice_f[i] = [0] * (k + 1), cf
             engine.repeat_rows += 1
             continue
-        z = next((h for h, e in enumerate(t_next) if e[0] == 0), k + 1)
-        wbi = [table.minimize(0, h, h) for h in range(max(z, 1) + 1)]
+        wbi = [table.minimize(0, h, h) for h in range(z + 1)]
         t_row, f_row, ct, cf = [], [], [], []
         for h in range(k + 1):
             most = h // (seen + 1)  # no scan wins past it
@@ -454,6 +455,7 @@ def _across_sweep(
             f_row.append((bn, bd))
             cf.append(bcf)
         t_next, f_next = t_row, f_row
+        z = min(z, len(counts))  # a repeat row's histogram occurs below it: z stays
         repeats.clear()
         choice_t[i] = ct
         choice_f[i] = cf
@@ -478,9 +480,10 @@ def minimize_across_buckets(
     padding argument makes the two minima equal). ``histograms`` is a
     bucketization or its count tuples.
     """
-    histograms = _checked_counts(histograms, k)[0]
+    engine = _session(engine)
+    histograms = _checked_counts(histograms, k, engine)[0]
     m = len(histograms)
-    row, choice_t, choice_f = _across_sweep(histograms, k, _session(engine))
+    row, choice_t, choice_f = _across_sweep(histograms, k, engine)
 
     atom_counts = [0] * m
     target_bucket, h = -1, k
@@ -510,10 +513,10 @@ def disclosure_by_k(
     from saturation on (k = d_min - 1, where both classes reach 1) is
     computed: with d_min = 1 nothing is swept.
     """
-    histograms, saturation = _checked_counts(histograms, k_max, "k_max")
+    engine = _session(engine)
+    histograms, saturation = _checked_counts(histograms, k_max, engine, "k_max")
     cap = min(k_max, saturation - 1)
     saturated = [Fraction(1)] * (k_max - cap)
-    engine = _session(engine)
     row = _across_sweep(histograms, cap, engine)[0] if cap >= 0 else []
     negations = _negated_atoms_series(histograms, cap, engine) if cap >= 0 else []
     implications = [Fraction(d, n + d) for n, d in row]
@@ -528,10 +531,11 @@ def disclosure_at(
     From k = d_min - 1 on it is 1 and, unlike in ``disclosure_by_k``, nothing
     is swept; below that it is entry k of one sweep at k.
     """
-    histograms, saturation = _checked_counts(histograms, k)
+    engine = _session(engine)
+    histograms, saturation = _checked_counts(histograms, k, engine)
     if k >= saturation:
         return Fraction(1)
-    r_num, r_den = _across_sweep(histograms, k, _session(engine))[0][k]
+    r_num, r_den = _across_sweep(histograms, k, engine)[0][k]
     return Fraction(r_den, r_num + r_den)
 
 
@@ -545,7 +549,8 @@ def disclosure_reaches(
     below c still sweeps every bucket. From k = d_min - 1 on nothing is
     swept.
     """
-    histograms, saturation = _checked_counts(histograms, k)
+    engine = _session(engine)
+    histograms, saturation = _checked_counts(histograms, k, engine)
     if not isinstance(c, numbers.Real):
         raise ValidationError("threshold c must be a real number")
     try:
@@ -555,7 +560,7 @@ def disclosure_reaches(
     if k >= saturation:
         return c <= 1
     bound = (c.denominator - c.numerator, c.numerator)
-    return _at_most(_across_sweep(histograms, k, _session(engine), stop=bound)[0][k], bound)
+    return _at_most(_across_sweep(histograms, k, engine, stop=bound)[0][k], bound)
 
 
 # ============================================================================
@@ -613,10 +618,10 @@ def max_disclosure(
     if isinstance(histograms, Bucketization):
         own = histograms.buckets
         buckets = lambda indices: [own[i] for i in indices]
-    histograms = _checked_counts(histograms, k)[0]
+    engine = _session(engine)
+    histograms = _checked_counts(histograms, k, engine)[0]
     if buckets is None:
         raise ValidationError("count tuples need buckets= to build a witness")
-    engine = _session(engine)
     ratio, placement = minimize_across_buckets(histograms, k, engine=engine)
     # atom slots per bucket, the target's slot included
     slots = list(placement.atom_counts)
@@ -667,5 +672,6 @@ def max_disclosure_negated_atoms(histograms: Histograms, k: int) -> Fraction:
     with x, so the best target is the most frequent value. ``histograms``
     is a bucketization or its count tuples.
     """
-    histograms, saturation = _checked_counts(histograms, k)
-    return _negated_atoms_series(histograms, min(k, saturation), _session(None))[-1]
+    engine = _session(None)
+    histograms, saturation = _checked_counts(histograms, k, engine)
+    return _negated_atoms_series(histograms, min(k, saturation), engine)[-1]

@@ -142,8 +142,8 @@ class Table(_Frozen):
             len(column) != n for column in (*self.columns, self.sensitive)
         ):
             raise ValidationError("columns are not aligned with the person ids")
+        _check_strings(self.person_ids, self.person_ids, "person id")  # before hashing them
         unique = set(self.person_ids)
-        _check_strings(unique, self.person_ids, "person id")
         if len(unique) != n or "" in unique:
             # walk the rows only on failure, to name the first offender
             seen: set[str] = set()
@@ -487,7 +487,9 @@ def _keys(
         extra = set(assignment) - set(table.person_ids)
         if extra:
             raise ValidationError(f"assignment names unknown person(s) {sorted(extra)}")
-        return [(assignment[p],) for p in table.person_ids]
+        labels = [assignment[p] for p in table.person_ids]
+        _check_strings(labels, labels, "bucket label")
+        return [(label,) for label in labels]
     unknown = [a for a in by if a not in table.attributes]
     if unknown:
         raise ValidationError(f"cannot group by unknown attribute(s) {unknown}")

@@ -164,7 +164,22 @@ def test_minimize_within_equals_enumeration(seed):
     assert value == explicit
     # the reported shape achieves the value (possibly with fewer atoms at 0)
     assert avoidance_probability(bucket.counts, parts) == value
-    assert sum(parts) == k or (value == 0 and sum(parts) < k)
+    # the cover rule: exactly k atoms, and 0 exactly when they cover the values
+    assert sum(parts) == k
+    assert (value == 0) == (k >= len(bucket.counts))
+
+
+def test_minimize_within_follows_the_cover_rule():
+    for n in range(1, 11):
+        for counts in partitions(n):
+            session = Engine()
+            for h in range(n + 3):
+                value, parts = minimize_within_bucket(counts, h, engine=session)
+                assert sum(parts) == h, (counts, h)
+                assert (value == 0) == (h >= len(counts)), (counts, h)
+                assert avoidance_probability(counts, parts) == value
+                if h >= len(counts):  # the root answers (0, 1) alone
+                    assert session.table(counts).minimize(0, h, h) == (0, 1, h)
 
 
 def test_minimize_across_goldens(demo_bucketization):
@@ -601,6 +616,15 @@ def test_a_malformed_count_tuple_is_refused_where_its_counts_are_read():
         minimize_across_buckets([(0,)], 0)  # was ZeroDivisionError
     with pytest.raises(ValidationError, match=r"^\[2, 1\] is not a count tuple$"):
         disclosure_by_k([[2, 1]], 2)  # was TypeError: unhashable type: 'list'
+    # a saturated k or a stopped sweep reads no counts, yet checks them
+    with pytest.raises(ValidationError, match=r"^count tuple \(1, 2\) is not descending$"):
+        disclosure_at([(1, 2)], 5)  # was 1
+    with pytest.raises(ValidationError, match=r"^count tuple \('a',\): each count must be an integer$"):
+        disclosure_at([(3,), ("a",)], 0)  # was 1
+    with pytest.raises(ValidationError, match=r"^count tuple \(0,\): each count must be >= 1$"):
+        disclosure_by_k([(0,)], 3)  # was 1 at every k
+    with pytest.raises(ValidationError, match=r"^count tuple \(1, 2\) is not descending$"):
+        disclosure_reaches([(1, 2), (5, 4, 3, 2, 1)], 1, Fraction(1, 100))  # was True
 
 
 def test_the_negated_atoms_bound_checks_its_count_tuples():
@@ -629,6 +653,25 @@ def test_saturated_sweep_fills_fewer_minima():
             table.minimize(0, h, h)
     assert report.disclosure == 1
     assert 0 < session.within_evaluations < eager.within_evaluations
+
+
+@given(histograms=_histograms | _pooled_histograms, k=st.integers(0, 14))
+@settings(max_examples=150, deadline=None)
+def test_a_bucket_fills_minima_up_to_the_fewest_values_after_it(histograms, k):
+    # a scanned bucket reads minima for h <= z, z = min(k + 1, fewest
+    # distinct values among the later buckets); the last reads k + 1, and a
+    # repeat row only h = 1, which a later copy already filled
+    session = Engine()
+    engine_module._across_sweep(histograms, k, session)
+    fill = {}
+    for j, counts in enumerate(histograms):
+        later = histograms[j + 1:]
+        if later.count(counts) <= k:
+            z = min([k + 1] + [len(c) for c in later])
+            fill[counts] = max(fill.get(counts, 0), z)
+    for counts, table in session.tables.items():
+        roots = {rem for i, _, rem in table.memo if i == 0}
+        assert roots == set(range(1, fill[counts] + 1)), counts
 
 
 @given(histograms=_histograms, k=st.integers(0, 15))

@@ -360,6 +360,18 @@ def test_histograms_raise_partition_errors(demo_table, grouping):
             call(demo_table, **grouping)
 
 
+def test_assignment_labels_must_be_strings(demo_table):
+    # partition and buckets_at raised TypeError in the bucket naming, and
+    # histograms answered [(4, 2, 1, 1, 1, 1)]
+    labels = {p: "x" for p in demo_table.person_ids}
+    labels[demo_table.person_ids[2]] = 3
+    for call in (partition, histograms, lambda t, **g: buckets_at(t, [0], **g)):
+        with pytest.raises(ValidationError, match="^bucket label 3 is not a string$"):
+            call(demo_table, assignment=labels)
+        with pytest.raises(ValidationError, match="^bucket label 3 is not a string$"):
+            call(demo_table, assignment=dict.fromkeys(demo_table.person_ids, 3))
+
+
 # labels that join with "|" to the same text as other keys, so the "+" rule
 # renames buckets; "" joins to a bare separator
 LABELS = ("a", "b", "a|b", "b|a", "|", "a|", "|a", "", "a+", "a|b+")

@@ -238,6 +238,7 @@ INVALID = [
     (_with(Table, domain=("Cold",)), "observed sensitive value(s) outside domain: ['Flu']"),
     (_with(Table, person_ids=(3, "a")), "person id 3 is not a string"),
     (_with(Table, person_ids=("a", b"b")), "person id b'b' is not a string"),
+    (_with(Table, person_ids=(["a"], "b")), "person id ['a'] is not a string"),
     (_with(Table, columns=(("M", 1),)), "attribute 'Sex': value 1 is not a string"),
     (_with(Table, columns=((None, "F"),)), "attribute 'Sex': value None is not a string"),
     (_with(Table, sensitive=("Flu", 2)), "sensitive value 2 is not a string"),
