@@ -14,8 +14,8 @@ import importlib
 # layers that load and bucketize a table, are imported with the package.
 # Every other layer is imported the first time one of its names, or the
 # submodule itself, is read from the package, so loading and bucketizing a
-# table compiles only those two. The command line imports knowledge and
-# engine itself, before click (see cli.py).
+# table compiles only those two. Each command of the command line imports the
+# layers it runs when it runs (see cli.py).
 _EXPORTS = {
     "errors": (
         "DEFAULT_BUDGET",

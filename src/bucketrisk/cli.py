@@ -17,16 +17,16 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-# The four core layers are imported before click, on purpose: compiled after
-# click, they raised the peak RSS (median of 5, 7.5k-row table, Python 3.11)
-# of `anonymize --all-minimal` from 19.8 to 20.0 MB and of `disclose --k 2
-# --witness` from 18.8 to 19.3 MB. lattice, oracle and curves are imported
-# inside the commands that run them, so that each command compiles only the
-# layers it uses.
-from .engine import disclosure_at, max_disclosure, max_disclosure_negated_atoms
+# Each command imports the layers it runs when it runs, so that it compiles
+# only those: disclose, curve-k and curve-entropy load engine, anonymize
+# loads lattice (and engine with it), and oracle loads knowledge and oracle
+# but no engine. Only a witness loads knowledge into disclose, through
+# engine.max_disclosure. A layer compiled after click raises a command's
+# peak RSS by a few tenths of a MB more than one compiled before it (glibc
+# keeps the memory the compiler frees); BENCH_28.json weighs the two.
 from .errors import DEFAULT_BUDGET, BucketRiskError, BudgetExceededError, ValidationError
-from .knowledge import _LINE_BREAKS, Knowledge, parse_atom, parse_knowledge
 from .table import (
+    _LINE_BREAKS,
     Table,
     buckets_at,
     histograms,
@@ -147,6 +147,8 @@ def _emit_points(obj, points) -> None:
 @handles_errors
 def disclose(obj, k, knowledge_class, witness, group_by):
     """Worst-case posterior any attacker with k knowledge units can reach."""
+    from .engine import disclosure_at, max_disclosure, max_disclosure_negated_atoms
+
     table = _load_table(obj)
     grouping = _grouping(obj, group_by)
     counts = histograms(table, **grouping)
@@ -190,6 +192,7 @@ def disclose(obj, k, knowledge_class, witness, group_by):
 @handles_errors
 def oracle(obj, knowledge_path, target, group_by):
     """Exact posterior of one atom given explicit knowledge, by enumeration."""
+    from .knowledge import Knowledge, parse_atom, parse_knowledge
     from .oracle import exact_posterior
 
     table = _load_table(obj)

@@ -481,7 +481,13 @@ def minimize_across_buckets(
     bucketization or its count tuples.
     """
     engine = _session(engine)
-    histograms = _checked_counts(histograms, k, engine)[0]
+    return _placed(_checked_counts(histograms, k, engine)[0], k, engine)
+
+
+def _placed(
+    histograms: Sequence[tuple[int, ...]], k: int, engine: Engine
+) -> tuple[Fraction, Placement]:
+    """``minimize_across_buckets`` on count tuples ``_checked_counts`` passed."""
     m = len(histograms)
     row, choice_t, choice_f = _across_sweep(histograms, k, engine)
 
@@ -622,7 +628,7 @@ def max_disclosure(
     histograms = _checked_counts(histograms, k, engine)[0]
     if buckets is None:
         raise ValidationError("count tuples need buckets= to build a witness")
-    ratio, placement = minimize_across_buckets(histograms, k, engine=engine)
+    ratio, placement = _placed(histograms, k, engine)
     # atom slots per bucket, the target's slot included
     slots = list(placement.atom_counts)
     slots[placement.target_bucket] += 1

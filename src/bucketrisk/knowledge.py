@@ -32,7 +32,7 @@ import re
 from typing import Callable, Container, Iterable, Iterator, Mapping, Sequence
 
 from .errors import ParseError, ValidationError
-from .table import Bucket, Table, _Frozen
+from .table import _LINE_BREAKS, Bucket, Table, _Frozen
 
 
 class Atom(_Frozen):
@@ -228,8 +228,6 @@ def _witness(
 # Parsing
 # ============================================================================
 
-# every character at which str.splitlines, and so the parser, ends a line
-_LINE_BREAKS = set("\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029")
 # a bare word, as the module docstring states it
 _WORD = re.compile(r'(?:[^ \t#"()=&|-]|-(?!>))+')
 # blanks, a comment to the end of the text, a quoted word (its closing quote

@@ -46,6 +46,10 @@ from .errors import ValidationError, _check_count
 
 Source = Union[str, Path, TextIO]
 
+# every character at which str.splitlines, and so the knowledge parser, ends a
+# line: a label rendered on one line of output must hold none of them
+_LINE_BREAKS = set("\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029")
+
 
 def _open_text(source: Source) -> ContextManager[TextIO]:
     """Open a path for reading; a caller's stream passes through, left open."""

@@ -168,7 +168,15 @@ def test_witness_with_a_line_break_in_an_id_exits_2(runner, tmp_path):
     assert r.stderr == "error: cannot render 'Al\\nBo': line break\n"
 
 
-@pytest.mark.parametrize("char", ["\n", "\r", ",", "="], ids=["LF", "CR", "comma", "equals"])
+# every character at which str.splitlines ends a line, then the node
+# vector's own delimiters
+NODE_BREAKERS = {
+    "LF": "\n", "VT": "\v", "FF": "\f", "CR": "\r", "FS": "\x1c", "GS": "\x1d", "RS": "\x1e",
+    "NEL": "\x85", "LS": "\u2028", "PS": "\u2029", "comma": ",", "equals": "=",
+}
+
+
+@pytest.mark.parametrize("char", NODE_BREAKERS.values(), ids=NODE_BREAKERS)
 def test_anonymize_attribute_name_that_would_split_a_node_exits_2(runner, tmp_path, char):
     # printed, the node vector would split across lines or read ambiguously;
     # the node Z?ip=0 is safe, so the search alone would print it

@@ -627,6 +627,24 @@ def test_a_malformed_count_tuple_is_refused_where_its_counts_are_read():
         disclosure_reaches([(1, 2), (5, 4, 3, 2, 1)], 1, Fraction(1, 100))  # was True
 
 
+def test_a_cold_witness_checks_each_distinct_count_tuple_once(monkeypatch):
+    # no table exists between max_disclosure's check and its sweep, so a
+    # second check there would read every tuple again
+    checked = Counter()
+    check = engine_module._check_histogram
+
+    def counting(counts):
+        checked[counts] += 1
+        check(counts)
+
+    monkeypatch.setattr(engine_module, "_check_histogram", counting)
+    b = bucketization_from_counts(
+        [{"a": 2, "b": 1}, {"a": 3, "b": 1, "c": 1}, {"x": 2, "y": 1}, {"a": 1, "b": 1}]
+    )
+    max_disclosure(b, 2, engine=Engine())
+    assert checked == {(2, 1): 1, (3, 1, 1): 1, (1, 1): 1}
+
+
 def test_the_negated_atoms_bound_checks_its_count_tuples():
     for histograms, message in (
         ([(2, 1), [2, 1]], r"^\[2, 1\] is not a count tuple$"),
