@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Iterable, Sequence, Union
 
 from .engine import Histograms, disclosure_by_k
-from .errors import ValidationError, _check_count
+from .errors import ValidationError, _check_count, _check_sequence
 from .table import Source, _csv_reader, _Frozen, entropy
 
 
@@ -70,6 +70,7 @@ class SkewedSingleBucketFamily(_Frozen):
 
 def entropy_vs_disclosure(family, k_list: Sequence[int]) -> list[CurvePoint]:
     """Least worst-case disclosure at each entropy value, one series per k."""
+    _check_sequence(k_list, "k_list")
     for k in k_list:
         _check_count(k, "k")
     k_top = max(k_list, default=0)

@@ -59,7 +59,7 @@ from fractions import Fraction
 from itertools import accumulate
 from typing import TYPE_CHECKING, Callable, Sequence
 
-from .errors import ValidationError, _check_count
+from .errors import ValidationError, _check_count, _check_sequence
 from .table import Bucketization, _Frozen
 
 if TYPE_CHECKING:
@@ -84,6 +84,7 @@ def avoidance_probability(counts: tuple[int, ...], parts: Sequence[int]) -> Frac
     clamped to 0. Counts past the bucket's distinct values are implicitly 0.
     """
     _check_histogram(counts)
+    _check_sequence(parts, "parts")
     n = sum(counts)
     if len(parts) > n:
         raise ValidationError(f"{len(parts)} involved persons exceed bucket size {n}")
@@ -286,10 +287,11 @@ def _checked_counts(
 ) -> tuple[Sequence[tuple[int, ...]], int]:
     """Check k and the input; return the count tuples and d_min - 1.
 
-    A bucketization becomes its count tuples. Each distinct count tuple that
-    the session holds no table for is checked here, first to last, so a
-    reader that answers without reading a tuple's counts (a saturated k, a
-    stopped sweep) refuses a malformed one too. d_min - 1 is the k from which
+    A bucketization becomes its count tuples; anything else must be a list
+    or a tuple of them. Each distinct count tuple that the session holds no
+    table for is checked here, first to last, so a reader that answers
+    without reading a tuple's counts (a saturated k, a stopped sweep)
+    refuses a malformed one too. d_min - 1 is the k from which
     both knowledge classes disclose exactly 1: in a bucket of d_min distinct
     values, one person can carry the target (its top value) plus an atom, or
     a negation, for each of the d_min - 1 other values. No world then gives
@@ -299,6 +301,7 @@ def _checked_counts(
     _check_count(k, name)
     if isinstance(histograms, Bucketization):
         histograms = [b.counts for b in histograms.buckets]
+    _check_sequence(histograms, "histograms")
     if not histograms:
         raise ValidationError("empty bucketization")
     try:

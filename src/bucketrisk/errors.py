@@ -57,3 +57,10 @@ def _check_count(value: object, name: str, least: int | None = 0) -> None:
         raise ValidationError(f"{name} must be an integer")
     if least is not None and value < least:
         raise ValidationError(f"{name} must be " + (f">= {least}" if least else "non-negative"))
+
+
+def _check_sequence(value: object, name: str) -> None:
+    """Refuse what is not a list or a tuple, naming its type: an iterator's
+    repr holds a memory address."""
+    if not isinstance(value, (list, tuple)):
+        raise ValidationError(f"{name} must be a list or a tuple, not {type(value).__name__}")

@@ -35,12 +35,27 @@ from .errors import ParseError, ValidationError
 from .table import _LINE_BREAKS, Bucket, Table, _Frozen
 
 
-class Atom(_Frozen):
+class _Ordered(_Frozen):
+    """A value that orders by its field tuple against values of its class."""
+
+    __slots__ = ()
+
+    # > and >= reflect to these
+    def __lt__(self, other):
+        if other.__class__ is self.__class__:
+            return self._astuple() < other._astuple()
+        return NotImplemented
+
+    def __le__(self, other):
+        if other.__class__ is self.__class__:
+            return self._astuple() <= other._astuple()
+        return NotImplemented
+
+
+class Atom(_Ordered):
     """Assertion that ``person``'s sensitive value is ``value``.
 
-    Atoms order by person, then value. Equality, hashing and ordering are
-    written out, not built from ``_fields``, so that atoms as dict keys and
-    sort keys cost no more than a tuple of their fields does.
+    Atoms order by person, then value.
     """
 
     __slots__ = _fields = ("person", "value")
@@ -49,34 +64,14 @@ class Atom(_Frozen):
         object.__setattr__(self, "person", person)
         object.__setattr__(self, "value", value)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.person, self.value) == (other.person, other.value)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.person, self.value))
-
-    # > and >= reflect to these
-    def __lt__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.person, self.value) < (other.person, other.value)
-        return NotImplemented
-
-    def __le__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.person, self.value) <= (other.person, other.value)
-        return NotImplemented
-
     def __str__(self) -> str:
         return f"{_quote(self.person)}={_quote(self.value)}"
 
 
-class BasicImplication(_Frozen):
+class BasicImplication(_Ordered):
     """(A_0 & ... & A_{m-1}) -> (B_0 | ... | B_{n-1}), with m >= 1 and n >= 1.
 
-    Implications order by antecedents, then consequents; as on ``Atom``,
-    comparisons and the hash are written out.
+    Implications order by antecedents, then consequents.
     """
 
     __slots__ = _fields = ("antecedents", "consequents")
@@ -86,24 +81,6 @@ class BasicImplication(_Frozen):
         object.__setattr__(self, "consequents", consequents)
         if not self.antecedents or not self.consequents:
             raise ValidationError("implication needs >= 1 antecedent and consequent")
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.antecedents, self.consequents) == (other.antecedents, other.consequents)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.antecedents, self.consequents))
-
-    def __lt__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.antecedents, self.consequents) < (other.antecedents, other.consequents)
-        return NotImplemented
-
-    def __le__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.antecedents, self.consequents) <= (other.antecedents, other.consequents)
-        return NotImplemented
 
     @property
     def is_simple(self) -> bool:

@@ -36,6 +36,7 @@ import contextlib
 import csv
 import io
 import math
+from collections import Counter
 from functools import cached_property
 from itertools import islice
 from operator import itemgetter
@@ -78,8 +79,10 @@ class _Frozen:
     deleting an attribute raises AttributeError. Two values are equal when
     they are of one class and have equal fields, a value hashes as its field
     tuple, its repr names every field, and it pickles and copies by calling
-    its class on its fields. A subclass declares ``__slots__ = _fields``
-    unless it keeps an instance dict for a ``cached_property``.
+    its class on its fields. Values are unordered; ``knowledge._Ordered``
+    adds ordering by the field tuple. A subclass declares
+    ``__slots__ = _fields`` unless it keeps an instance dict for a
+    ``cached_property``.
     """
 
     __slots__ = ()
@@ -280,14 +283,6 @@ class Bucket(_Frozen):
         return self.histogram[j][0] if j < len(self.histogram) else None
 
 
-def _tally(values: Iterable[str]) -> dict[str, int]:
-    """How many times each value occurs, in order of first occurrence."""
-    tally: dict[str, int] = {}
-    for v in values:
-        tally[v] = tally.get(v, 0) + 1
-    return tally
-
-
 def _histogram(tally: Mapping[str, int]) -> tuple[tuple[str, int], ...]:
     """A tally's (value, count) pairs, count descending, then value ascending."""
     pairs = sorted(tally.items())
@@ -299,7 +294,7 @@ def make_bucket(bucket_id: str, members: Sequence[str], values: Sequence[str]) -
     """Build a bucket from parallel member/value sequences, sorting the histogram."""
     if len(members) != len(values):
         raise ValidationError("members and values differ in length")
-    histogram = _histogram(_tally(values))
+    histogram = _histogram(Counter(values))
     return Bucket(bucket_id=bucket_id, members=tuple(members), histogram=histogram)
 
 
@@ -626,7 +621,7 @@ def _buckets(
     buckets = {}
     for index, (bucket_id, rows) in enumerate(zip(_bucket_ids(groups), groups.values())):
         if index in wanted:
-            histogram = _histogram(_tally([values[i] for i in rows]))
+            histogram = _histogram(Counter([values[i] for i in rows]))
             buckets[index] = Bucket._grouped(bucket_id, tuple([person_ids[i] for i in rows]),
                                              histogram)
     return buckets

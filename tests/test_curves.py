@@ -140,6 +140,13 @@ def test_entropy_vs_disclosure_goldens():
     assert ordered == [1, Fraction(28, 29), Fraction(10, 13), Fraction(1, 2)]
     with pytest.raises(ValidationError):
         entropy_vs_disclosure(family, [-1])
+    # 5 raised TypeError, and an iterator, read three times, gave []
+    for k_list in (5, iter([1]), None):
+        with pytest.raises(ValidationError, match="^k_list must be a list or a tuple, not "):
+            entropy_vs_disclosure(family, k_list)
+    assert entropy_vs_disclosure(family, (1,)) == entropy_vs_disclosure(family, [1])
+    with pytest.raises(ValidationError, match="^histograms must be a list or a tuple, not int$"):
+        disclosure_vs_k(5, 1)
 
 
 def test_entropy_curve_monotone():

@@ -583,6 +583,16 @@ def test_count_tuple_entry_points_keep_their_errors():
         (disclosure_at, "k"),
         (functools.partial(disclosure_reaches, c=Fraction(1, 2)), "k"),
     )
+    # neither a bucketization nor a list or a tuple: these escaped as TypeError,
+    # ValueError or KeyError, and None read as an empty bucketization; the
+    # message names the type, since an iterator's repr holds an address
+    safe = lambda histograms, k: is_safe(histograms, SafetyThreshold(Fraction(1, 2), k))
+    for call in [call for call, _ in calls] + [safe]:
+        for histograms in (5, iter([(2, 1)]), {(2, 1): 0}, None):
+            kind = type(histograms).__name__
+            with pytest.raises(ValidationError,
+                               match=f"^histograms must be a list or a tuple, not {kind}$"):
+                call(histograms, 1)
     for call, name in calls:
         with pytest.raises(ValidationError, match="^empty bucketization$"):
             call([], 1)
@@ -600,6 +610,9 @@ def test_count_tuple_entry_points_keep_their_errors():
             disclosure_reaches([(2, 1, 1)], 1, c)
     # an integral k of another type passes, and so does a float c
     assert disclosure_reaches([(2, 1, 1)], True, 0.5)
+    for parts in (5, iter([1])):  # TypeError from len
+        with pytest.raises(ValidationError, match="^parts must be a list or a tuple, not "):
+            avoidance_probability((2, 1), parts)
 
 
 def test_a_malformed_count_tuple_is_refused_where_its_counts_are_read():

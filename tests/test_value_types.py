@@ -12,6 +12,7 @@ import pickle
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bucketrisk import (
     Atom,
@@ -157,6 +158,41 @@ def test_atoms_and_implications_order_by_their_fields():
     for ordered in (Atom("a", "b"), first):
         with pytest.raises(TypeError):
             ordered < (ordered,)  # noqa: B015
+
+
+# one- or two-letter fields over two letters, so equal fields come up often
+_texts = st.text(alphabet="ab", min_size=1, max_size=2)
+_atoms = st.builds(Atom, _texts, _texts)
+_conjuncts = st.lists(_atoms, min_size=1, max_size=2).map(tuple)
+_implications = st.builds(BasicImplication, _conjuncts, _conjuncts)
+
+
+def _plain(value):
+    """The value as nested tuples of strings, which compare as its fields do."""
+    if isinstance(value, Atom):
+        return value.person, value.value
+    return tuple(map(_plain, value.antecedents)), tuple(map(_plain, value.consequents))
+
+
+@given(values=st.lists(_atoms, min_size=2, max_size=5)
+       | st.lists(_implications, min_size=2, max_size=5),
+       atom=_atoms, implication=_implications)
+@settings(max_examples=60, deadline=None)
+def test_ordered_types_compare_and_hash_as_their_field_tuples(values, atom, implication):
+    for x in values:
+        assert hash(x) == hash(field_tuple(x))
+        for y in values:
+            for compare in ("__eq__", "__ne__", "__lt__", "__le__", "__gt__", "__ge__"):
+                op = getattr(operator, compare)
+                assert op(x, y) == op(_plain(x), _plain(y)), (compare, x, y)
+    assert list(map(_plain, sorted(values))) == sorted(map(_plain, values))
+    for x, y in ((atom, implication), (atom, field_tuple(atom)), (atom, None),
+                 (implication, field_tuple(implication)), (implication, None)):
+        for left, right in ((x, y), (y, x)):
+            assert left != right and not left == right
+            for compare in ("__lt__", "__le__", "__gt__", "__ge__"):
+                with pytest.raises(TypeError):
+                    getattr(operator, compare)(left, right)
 
 
 @pytest.mark.parametrize("cls", [cls for cls in TYPES if cls not in ORDERED],
