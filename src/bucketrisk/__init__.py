@@ -30,11 +30,9 @@ _EXPORTS = {
         "Bucketization",
         "Table",
         "buckets_at",
-        "dump_table",
         "histograms",
         "load_table",
         "make_bucket",
-        "min_bucket_entropy",
         "partition",
         "read_assignment",
         "read_domain",
@@ -45,7 +43,6 @@ _EXPORTS = {
         "disclosure_vs_k",
         "emit_csv",
         "entropy_vs_disclosure",
-        "read_csv",
     ),
     "engine": (
         "DisclosureReport",
@@ -64,15 +61,12 @@ _EXPORTS = {
         "Atom",
         "BasicImplication",
         "Knowledge",
-        "format_knowledge",
-        "holds",
         "implication_holds",
         "knowledge_holds",
         "negation_as_implication",
         "parse_atom",
         "parse_knowledge",
         "simple_implication",
-        "validate_atom",
         "validate_knowledge",
     ),
     "lattice": (
@@ -83,7 +77,6 @@ _EXPORTS = {
         "binary_search_chain",
         "height_utility",
         "is_safe",
-        "leq",
         "load_hierarchy",
         "select_by_utility",
     ),

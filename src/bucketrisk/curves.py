@@ -16,8 +16,8 @@ from pathlib import Path
 from typing import Iterable, Sequence, Union
 
 from .engine import Histograms, disclosure_by_k
-from .errors import ValidationError, _check_count, _check_sequence
-from .table import Source, _csv_reader, _Frozen, entropy
+from .errors import _check_count, _check_sequence
+from .table import Source, _Frozen, entropy
 
 
 class CurvePoint(_Frozen):
@@ -91,13 +91,6 @@ def _format_x(x) -> str:
     return repr(x) if isinstance(x, float) else str(x)
 
 
-def _parse_x(text: str):
-    try:
-        return int(text)
-    except ValueError:
-        return float(text)
-
-
 def emit_csv(points: Iterable[CurvePoint], destination: Source) -> None:
     """Write points as `series,x,num,den,decimal`, sorted, bit-exact."""
     ordered = sorted(points, key=lambda p: (p.series, p.x))
@@ -120,20 +113,3 @@ def emit_csv(points: Iterable[CurvePoint], destination: Source) -> None:
     else:
         destination.write(text)
 
-
-def read_csv(source: Source) -> list[CurvePoint]:
-    """Parse emitted curve data back into exact points."""
-    with _csv_reader(source) as reader:
-        header = next(reader, None)
-        if header != ["series", "x", "num", "den", "decimal"]:
-            raise ValidationError("unrecognized curve CSV header")
-        points = []
-        for row in reader:
-            if not row:
-                continue
-            try:
-                series, x, num, den, _ = row
-                points.append(CurvePoint(series, _parse_x(x), Fraction(int(num), int(den))))
-            except (ValueError, ZeroDivisionError):
-                raise ValidationError(f"malformed curve CSV row: {row!r}") from None
-    return points

@@ -82,10 +82,6 @@ class BasicImplication(_Ordered):
         if not self.antecedents or not self.consequents:
             raise ValidationError("implication needs >= 1 antecedent and consequent")
 
-    @property
-    def is_simple(self) -> bool:
-        return len(self.antecedents) == 1 and len(self.consequents) == 1
-
     def __str__(self) -> str:
         left = " & ".join(str(a) for a in self.antecedents)
         right = " | ".join(str(b) for b in self.consequents)
@@ -142,12 +138,6 @@ def implication_holds(assignment: Mapping[str, str], impl: BasicImplication) -> 
 
 def knowledge_holds(assignment: Mapping[str, str], knowledge: Knowledge) -> bool:
     return all(implication_holds(assignment, impl) for impl in knowledge)
-
-
-def holds(table: Table, knowledge: Knowledge) -> bool:
-    """True iff the table satisfies every implication of the knowledge."""
-    assignment = dict(zip(table.person_ids, table.sensitive))
-    return knowledge_holds(assignment, knowledge)
 
 
 def negation_as_implication(atom: Atom, domain: Sequence[str]) -> BasicImplication:
@@ -320,10 +310,6 @@ def validate_knowledge(knowledge: Knowledge, table: Table) -> None:
     _check_atoms(knowledge.atoms(), table.row_of, table.domain)
 
 
-def validate_atom(atom: Atom, table: Table) -> None:
-    _check_atoms((atom,), table.row_of, table.domain)
-
-
 def _check_atoms(atoms: Iterable[Atom], persons: Container[str], domain: Iterable[str]) -> None:
     """Raise for the first atom whose person is not in ``persons`` or whose
     value is not in ``domain``, checking the person first."""
@@ -333,9 +319,3 @@ def _check_atoms(atoms: Iterable[Atom], persons: Container[str], domain: Iterabl
             raise ValidationError(f"unknown person {atom.person!r}")
         if atom.value not in domain:
             raise ValidationError(f"unknown sensitive value {atom.value!r}")
-
-
-def format_knowledge(knowledge: Knowledge) -> str:
-    """Render knowledge in the file grammar, ``str(knowledge)`` with each line
-    ended; parses back to an equal value."""
-    return f"{knowledge}\n" if knowledge.implications else ""

@@ -1,4 +1,4 @@
-"""Generalization hierarchies, the bucketization order, and safety search.
+"""Generalization hierarchies and the search for safe nodes.
 
 A hierarchy gives each quasi-identifier attribute a chain of levels: level 0
 is the raw value, higher levels map raws to coarser labels, and each level
@@ -153,9 +153,6 @@ class Hierarchy(_Frozen):
     def bottom(self) -> Node:
         return (0,) * len(self.attributes)
 
-    def top(self) -> Node:
-        return tuple(self.max_level(a) for a in self.attributes)
-
     def nodes(self) -> Iterable[Node]:
         """Every lattice node, in no particular order."""
         return itertools.product(
@@ -272,14 +269,6 @@ def _step(
         hierarchy.label(attribute, level - 1, raw): hierarchy.label(attribute, level, raw)
         for raw in raws
     }
-
-
-def leq(finer: Bucketization, coarser: Bucketization) -> bool:
-    """True iff every coarser bucket is a union of finer buckets."""
-    if finer.bucket_of.keys() != coarser.bucket_of.keys():
-        raise ValidationError("bucketizations cover different person sets")
-    home = coarser.bucket_of
-    return all(len({home[person] for person in b.members}) <= 1 for b in finer.buckets)
 
 
 class SafetyThreshold(_Frozen):

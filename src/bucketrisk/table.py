@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import contextlib
 import csv
-import io
 import math
 from collections import Counter
 from functools import cached_property
@@ -43,7 +42,7 @@ from operator import itemgetter
 from pathlib import Path
 from typing import ContextManager, Iterable, Iterator, Mapping, Sequence, TextIO, Union
 
-from .errors import ValidationError, _check_count
+from .errors import ValidationError, _check_count, _check_sequence
 
 Source = Union[str, Path, TextIO]
 
@@ -272,16 +271,6 @@ class Bucket(_Frozen):
     def size(self) -> int:
         return len(self.members)
 
-    def count(self, value: str) -> int:
-        for v, c in self.histogram:
-            if v == value:
-                return c
-        return 0
-
-    def value_at(self, j: int) -> str | None:
-        """The j-th most frequent value, or None past the distinct values."""
-        return self.histogram[j][0] if j < len(self.histogram) else None
-
 
 def _histogram(tally: Mapping[str, int]) -> tuple[tuple[str, int], ...]:
     """A tally's (value, count) pairs, count descending, then value ascending."""
@@ -348,10 +337,6 @@ class Bucketization(_Frozen):
     def bucket_of(self) -> dict[str, str]:
         """Each person's bucket id, built on first use."""
         return {p: b.bucket_id for b in self.buckets for p in b.members}
-
-    @property
-    def person_ids(self) -> frozenset[str]:
-        return frozenset(self.bucket_of)
 
     @cached_property
     def by_id(self) -> dict[str, Bucket]:
@@ -479,6 +464,8 @@ def _keys(
     """One grouping key per row, in row order, once ``partition``'s checks pass."""
     if (assignment is None) == (by is None):
         raise ValidationError("specify exactly one of assignment= or by=")
+    if by is not None:
+        _check_sequence(by, "by")  # a str would group by its letters
     if assignment is not None:
         missing = [p for p in table.person_ids if p not in assignment]
         if missing:
@@ -529,7 +516,7 @@ def histograms(
 
 def buckets_at(
     table: Table,
-    indices: Iterable[int],
+    indices: Sequence[int],
     assignment: Mapping[str, str] | None = None,
     by: Sequence[str] | None = None,
 ) -> list[Bucket]:
@@ -537,10 +524,10 @@ def buckets_at(
 
     Buckets come in the order of ``indices``, equal to partition's, and no
     other bucket is built. This is how a witness names persons when the
-    engine ran on ``histograms``. Each index is an integer from 0 to the
-    number of buckets less one.
+    engine ran on ``histograms``. ``indices`` is a list or a tuple, and each
+    index an integer from 0 to the number of buckets less one.
     """
-    indices = list(indices)
+    _check_sequence(indices, "indices")
     for i in indices:
         _check_count(i, "each bucket index")
     built = _buckets(table, _keys(table, assignment, by), set(indices))
@@ -656,16 +643,3 @@ def entropy(counts: Sequence[int]) -> float:
     n = sum(counts)
     return -sum((c / n) * math.log2(c / n) for c in counts) + 0.0
 
-
-def min_bucket_entropy(bucketization: Bucketization) -> float:
-    """Minimum over buckets of the Shannon entropy (bits) of the value histogram."""
-    return min((entropy(b.counts) for b in bucketization.buckets), default=math.inf)
-
-
-def dump_table(table: Table) -> str:
-    """Render a table back to CSV (id column first); round-trips bit-exactly."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["id", *table.attributes, table.sensitive_attribute])
-    writer.writerows(table.records)
-    return out.getvalue()

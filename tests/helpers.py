@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import csv
+import io
 import os
 import random
 from fractions import Fraction
@@ -12,6 +14,7 @@ from bucketrisk import (
     Atom,
     BasicImplication,
     Bucketization,
+    CurvePoint,
     Hierarchy,
     Knowledge,
     Table,
@@ -29,6 +32,34 @@ def child_env(**extra: str) -> dict:
     src = str(Path(bucketrisk.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return dict(os.environ, PYTHONPATH=path, **extra)
+
+
+def leq(finer: Bucketization, coarser: Bucketization) -> bool:
+    """True iff every bucket of ``coarser`` is a union of buckets of ``finer``,
+    two bucketizations of one person set."""
+    assert finer.bucket_of.keys() == coarser.bucket_of.keys()
+    home = coarser.bucket_of
+    return all(len({home[person] for person in b.members}) <= 1 for b in finer.buckets)
+
+
+def table_csv(table: Table) -> str:
+    """The table as CSV, an "id" column first, that ``load_table`` reads back
+    equal with ``id_column="id"``."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["id", *table.attributes, table.sensitive_attribute])
+    writer.writerows(table.records)
+    return out.getvalue()
+
+
+def read_curve_csv(text: str) -> list[CurvePoint]:
+    """The exact points of ``emit_csv``'s output: an integer x stays an int."""
+    header, *rows = csv.reader(io.StringIO(text))
+    assert header == ["series", "x", "num", "den", "decimal"]
+    return [
+        CurvePoint(series, int(x) if x.isdigit() else float(x), Fraction(int(num), int(den)))
+        for series, x, num, den, _ in rows
+    ]
 
 
 def bucketization_from_counts(count_maps, domain=None) -> Bucketization:

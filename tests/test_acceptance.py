@@ -191,10 +191,9 @@ def test_criterion_4_closed_form_vs_counting():
             if len(parts) > n:
                 continue
             atoms = [
-                Atom(bucket.members[i], bucket.value_at(j))
+                Atom(bucket.members[i], value)
                 for i, p in enumerate(parts)
-                for j in range(p)
-                if bucket.value_at(j) is not None
+                for value, _ in bucket.histogram[:p]
             ]
             negations = Knowledge(
                 tuple(negation_as_implication(a, domain) for a in atoms)

@@ -3,7 +3,9 @@
 One table names each call, the argument as its message names it, and the
 least value it takes. A value of the wrong type, or below that least value,
 raises ``ValidationError`` with the exact message and nothing else. A
-``Hierarchy`` checks its levels whether it was loaded or built in code.
+grouping's ``by`` and ``buckets_at``'s ``indices`` are refused the same way
+unless they are a list or a tuple. A ``Hierarchy`` checks its levels
+whether it was loaded or built in code.
 """
 
 import io
@@ -30,6 +32,7 @@ from bucketrisk import (
     disclosure_reaches,
     entropy_vs_disclosure,
     exact_posterior,
+    histograms,
     knowledge_probability,
     load_hierarchy,
     load_table,
@@ -119,6 +122,31 @@ def test_buckets_at_refuses_an_index_past_the_last_bucket():
         with pytest.raises(ValidationError) as error:
             buckets_at(TABLE, indices, by=("Sex",))
         assert str(error.value) == f"bucket index {max(indices)} out of range for 2 buckets"
+
+
+# (call id, call, message): a str by= was grouped on by its letters, an
+# iterator by= gave no buckets at all, and an int indices escaped as "'int'
+# object is not iterable"
+SEQUENCES = [
+    ("buckets_at.indices", lambda: buckets_at(TABLE, 0, by=["Sex"]),
+     "indices must be a list or a tuple, not int"),
+    ("buckets_at.indices-iterator", lambda: buckets_at(TABLE, iter([0]), by=["Sex"]),
+     "indices must be a list or a tuple, not list_iterator"),
+    ("partition.by", lambda: partition(TABLE, by="Sex"), "by must be a list or a tuple, not str"),
+    ("partition.by-iterator", lambda: partition(TABLE, by=iter(["Sex"])),
+     "by must be a list or a tuple, not list_iterator"),
+    ("histograms.by", lambda: histograms(TABLE, by="Sex"),
+     "by must be a list or a tuple, not str"),
+    ("buckets_at.by", lambda: buckets_at(TABLE, [0], by="Sex"),
+     "by must be a list or a tuple, not str"),
+]
+
+
+@pytest.mark.parametrize("call, message", [c[1:] for c in SEQUENCES], ids=[c[0] for c in SEQUENCES])
+def test_every_sequence_argument_refuses_a_non_sequence(call, message):
+    with pytest.raises(ValidationError) as error:
+        call()
+    assert str(error.value) == message
 
 
 def test_entropy_series_are_labelled_by_the_integer_k():

@@ -12,18 +12,16 @@ from bucketrisk import (
     ValidationError,
     disclosure_by_k,
     disclosure_vs_k,
-    dump_table,
     emit_csv,
     load_table,
     max_disclosure,
     max_disclosure_negated_atoms,
     partition,
     read_assignment,
-    read_csv,
 )
 from bucketrisk.cli import main
 from conftest import DATA
-from helpers import random_table_and_hierarchy
+from helpers import random_table_and_hierarchy, read_curve_csv, table_csv
 
 TABLE_ARGS = ["--table", str(DATA / "clinic.csv"), "--sensitive", "Disease", "--id", "Name"]
 
@@ -390,7 +388,7 @@ def test_curve_k_to_file(runner, tmp_path):
     assert r.stdout == ""
     text = out.read_text()
     assert text.splitlines()[0] == "series,x,num,den,decimal"
-    points = {(p.series, p.x): p.value for p in read_csv(out)}
+    points = {(p.series, p.x): p.value for p in read_curve_csv(text)}
     assert points[("implications", 0)] == Fraction(2, 5)
     assert points[("implications", 1)] == Fraction(2, 3)
     assert points[("implications", 2)] == 1
@@ -616,7 +614,7 @@ def test_histogram_commands_match_partition_rendering_on_random_tables(runner, t
     rng = random.Random(7)
     for _ in range(25):
         table, _ = random_table_and_hierarchy(rng, max_tuples=15)
-        (tmp_path / "t.csv").write_text(dump_table(table), encoding="utf-8")
+        (tmp_path / "t.csv").write_text(table_csv(table), encoding="utf-8")
         # labels with "|", on lines that end in LF or CRLF
         lines = [f"{p}\t{rng.choice(['x', 'y|z', 'x|y'])}" for p in table.person_ids]
         ends = [rng.choice(["\n", "\r\n"]) for _ in lines]

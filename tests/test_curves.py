@@ -15,9 +15,8 @@ from bucketrisk import (
     entropy_vs_disclosure,
     max_disclosure,
     max_disclosure_negated_atoms,
-    read_csv,
 )
-from helpers import VALUES, bucketization_from_counts, random_bucketization
+from helpers import VALUES, bucketization_from_counts, random_bucketization, read_curve_csv
 
 
 def series(points, name):
@@ -191,32 +190,10 @@ def test_csv_roundtrip():
     points = entropy_vs_disclosure(family, [0, 1])
     out = io.StringIO()
     emit_csv(points, out)
-    back = read_csv(io.StringIO(out.getvalue()))
+    back = read_curve_csv(out.getvalue())
     assert sorted(back, key=lambda p: (p.series, p.x)) == sorted(
         points, key=lambda p: (p.series, p.x)
     )
     # float x survives exactly; exact rationals survive exactly
     assert {type(p.x) for p in back} == {float}
 
-
-def test_read_csv_skips_blank_rows():
-    text = "series,x,num,den,decimal\n\na,1,1,2,0.5\n\n"
-    assert read_csv(io.StringIO(text)) == [CurvePoint("a", 1, Fraction(1, 2))]
-
-
-def test_read_csv_rejects_bad_input():
-    with pytest.raises(ValidationError):
-        read_csv(io.StringIO("wrong,header\n"))
-    with pytest.raises(ValidationError):
-        read_csv(io.StringIO("series,x,num,den,decimal\na,1,2\n"))
-    # a field past the csv module's size limit
-    with pytest.raises(ValidationError, match="malformed CSV at line 2"):
-        read_csv(io.StringIO(f"series,x,num,den,decimal\n{'a' * 200_000},1,2,3,0.6\n"))
-
-
-@pytest.mark.parametrize("row", ["a,1,1,0,0.5", "a,1,x,1,0.5", "a,abc,1,1,0.5"])
-def test_read_csv_rejects_unparsable_row(row):
-    # a zero den, a non-integer num and a non-numeric x name the row
-    with pytest.raises(ValidationError, match="malformed curve CSV row") as info:
-        read_csv(io.StringIO(f"series,x,num,den,decimal\n{row}\n"))
-    assert repr(row.split(",")) in str(info.value)

@@ -119,10 +119,9 @@ def test_avoidance_equals_world_counting(seed):
     if len(parts) > bucket.size:
         parts = (k,)
     atoms = [
-        Atom(bucket.members[i], bucket.value_at(j))
+        Atom(bucket.members[i], value)
         for i, p in enumerate(parts)
-        for j in range(p)
-        if bucket.value_at(j) is not None
+        for value, _ in bucket.histogram[:p]
     ]
     negations = Knowledge(
         tuple(negation_as_implication(a, b13n.domain) for a in atoms)

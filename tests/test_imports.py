@@ -262,6 +262,30 @@ def test_every_public_name_is_its_defining_modules_object():
     assert oracle.DEFAULT_BUDGET is errors.DEFAULT_BUDGET is bucketrisk.DEFAULT_BUDGET
 
 
+# Adding or removing a public name is a change to this list. A name is
+# public if the command line or another layer calls it, or if it answers one
+# of the paper's questions (see the README's Library section).
+PUBLIC = [
+    "Atom", "BasicImplication", "Bucket", "BucketRiskError", "Bucketization",
+    "BudgetExceededError", "CurvePoint", "DEFAULT_BUDGET", "DisclosureReport", "Engine",
+    "Hierarchy", "InconsistentKnowledgeError", "Knowledge", "ParseError", "Placement",
+    "SafetyThreshold", "SkewedSingleBucketFamily", "Table", "ValidationError",
+    "all_minimal_safe", "apply", "avoidance_probability", "binary_search_chain",
+    "brute_force_max_disclosure", "buckets_at", "disclosure_at", "disclosure_by_k",
+    "disclosure_reaches", "disclosure_vs_k", "emit_csv", "entropy_vs_disclosure",
+    "exact_posterior", "height_utility", "histograms", "implication_holds", "is_safe",
+    "knowledge_holds", "knowledge_probability", "load_hierarchy", "load_table",
+    "make_bucket", "max_disclosure", "max_disclosure_negated_atoms",
+    "minimize_across_buckets", "minimize_within_bucket", "negation_as_implication",
+    "parse_atom", "parse_knowledge", "partition", "read_assignment", "read_domain",
+    "select_by_utility", "simple_implication", "validate_knowledge", "world_count",
+]
+
+
+def test_public_names_are_pinned():
+    assert sorted(bucketrisk.__all__) == PUBLIC
+
+
 def test_star_import_and_dir_cover_all():
     namespace = {}
     exec("from bucketrisk import *", namespace)

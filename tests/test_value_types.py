@@ -255,7 +255,6 @@ def test_cached_properties_are_built_once():
     assert bucketization.bucket_of is bucketization.bucket_of
     assert bucketization.by_id == {"b0": BUCKET}
     assert bucketization.by_id is bucketization.by_id
-    assert bucketization.person_ids == frozenset({"a", "b"})
     # a cached property does not take part in equality or hashing
     assert table == sample(Table) and hash(table) == hash(sample(Table))
     assert bucketization == sample(Bucketization)
