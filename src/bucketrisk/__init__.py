@@ -61,13 +61,11 @@ _EXPORTS = {
         "Atom",
         "BasicImplication",
         "Knowledge",
-        "implication_holds",
         "knowledge_holds",
         "negation_as_implication",
         "parse_atom",
         "parse_knowledge",
         "simple_implication",
-        "validate_knowledge",
     ),
     "lattice": (
         "Hierarchy",
@@ -75,10 +73,8 @@ _EXPORTS = {
         "all_minimal_safe",
         "apply",
         "binary_search_chain",
-        "height_utility",
         "is_safe",
         "load_hierarchy",
-        "select_by_utility",
     ),
     "oracle": (
         "brute_force_max_disclosure",

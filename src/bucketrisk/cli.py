@@ -262,13 +262,7 @@ def _parse_chain(spec: str, hierarchy) -> list[tuple[int, ...]]:
 @handles_errors
 def anonymize(obj, hierarchy_path, c_text, k, all_minimal, chain_spec):
     """Find generalizations keeping worst-case disclosure below c."""
-    from .lattice import (
-        SafetyThreshold,
-        all_minimal_safe,
-        binary_search_chain,
-        load_hierarchy,
-        select_by_utility,
-    )
+    from .lattice import SafetyThreshold, all_minimal_safe, binary_search_chain, load_hierarchy
 
     if all_minimal == bool(chain_spec):
         raise ValidationError("use exactly one of --all-minimal and --chain")
@@ -292,9 +286,9 @@ def anonymize(obj, hierarchy_path, c_text, k, all_minimal, chain_spec):
         if not minimal:
             click.echo("no safe generalization in the lattice", err=True)
             sys.exit(4)
-        selected = select_by_utility(minimal)
+        # sorted by (total height, level vector): the first has least height
         lines = [f"minimal: {describe(node)}" for node in minimal]
-        lines.append(f"selected: {describe(selected)}")
+        lines.append(f"selected: {describe(minimal[0])}")
     else:
         chain = _parse_chain(chain_spec, hierarchy)
         found = binary_search_chain(table, hierarchy, chain, threshold)

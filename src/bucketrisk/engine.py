@@ -579,30 +579,25 @@ def disclosure_reaches(
 class DisclosureReport(_Frozen):
     """Worst-case disclosure with a checkable witness.
 
-    ``disclosure`` = 1/(1 + ratio). The witness is exactly k simple
-    implications, every one with consequent ``target`` (padded by repetition
-    or by the vacuous target->target when the optimum needs fewer distinct
-    atoms); feeding them to the exact oracle reproduces ``disclosure``.
+    The witness is exactly k simple implications, every one with consequent
+    ``target`` (padded by repetition or by the vacuous target->target when
+    the optimum needs fewer distinct atoms); feeding them to the exact
+    oracle reproduces ``disclosure``.
     ``bucket_atom_counts[i]`` counts the atom slots the optimizer assigned to
     bucket i, the target atom's slot included.
     """
 
-    __slots__ = _fields = ("disclosure", "ratio", "target", "antecedents", "bucket_atom_counts",
-                           "implications")
+    __slots__ = _fields = ("disclosure", "target", "bucket_atom_counts", "implications")
 
     def __init__(
         self,
         disclosure: Fraction,
-        ratio: Fraction,
         target: Atom,
-        antecedents: tuple[Atom, ...],
         bucket_atom_counts: tuple[int, ...],
         implications: tuple[BasicImplication, ...],
     ) -> None:
         object.__setattr__(self, "disclosure", disclosure)
-        object.__setattr__(self, "ratio", ratio)
         object.__setattr__(self, "target", target)
-        object.__setattr__(self, "antecedents", antecedents)
         object.__setattr__(self, "bucket_atom_counts", bucket_atom_counts)
         object.__setattr__(self, "implications", implications)
 
@@ -636,14 +631,10 @@ def max_disclosure(
     slots = list(placement.atom_counts)
     slots[placement.target_bucket] += 1
     parts = {i: engine.table(histograms[i]).best_partition(c) for i, c in enumerate(slots) if c}
-    target, antecedents, implications = _witness(
-        histograms, parts, placement.target_bucket, buckets, k
-    )
+    target, implications = _witness(histograms, parts, placement.target_bucket, buckets, k)
     return DisclosureReport(
         disclosure=1 / (1 + ratio),
-        ratio=ratio,
         target=target,
-        antecedents=antecedents,
         bucket_atom_counts=tuple(slots),
         implications=implications,
     )

@@ -12,7 +12,7 @@ canonical s' (smallest domain value != s in lexicographic order).
 
 The engine answers from count tuples and names no person: ``_witness`` spells
 its optimum, a placement and each named bucket's per-person atom counts, out
-as the atoms and implications of a witness for ``engine.max_disclosure``.
+as the target and implications of a witness for ``engine.max_disclosure``.
 
 File grammar (one implication per line, ``#`` starts a comment):
 
@@ -121,23 +121,23 @@ class Knowledge(_Frozen):
 # Evaluation
 # ============================================================================
 
-def implication_holds(assignment: Mapping[str, str], impl: BasicImplication) -> bool:
-    """Evaluate one implication against a person -> value assignment."""
-    for a in impl.antecedents:
-        try:
-            actual = assignment[a.person]
-        except KeyError:
-            raise ValidationError(f"unknown person {a.person!r}") from None
-        if actual != a.value:
-            return True  # antecedent conjunction false: vacuously satisfied
+def knowledge_holds(assignment: Mapping[str, str], knowledge: Knowledge) -> bool:
+    """Evaluate knowledge against a person -> value assignment.
+
+    Each implication holds when a consequent holds, or vacuously when an
+    antecedent fails; no person is read past the first failing antecedent.
+    """
     try:
-        return any(assignment[b.person] == b.value for b in impl.consequents)
+        for impl in knowledge:
+            for a in impl.antecedents:
+                if assignment[a.person] != a.value:
+                    break  # antecedent conjunction false: vacuously satisfied
+            else:
+                if not any(assignment[b.person] == b.value for b in impl.consequents):
+                    return False
+        return True
     except KeyError as error:
         raise ValidationError(f"unknown person {error.args[0]!r}") from None
-
-
-def knowledge_holds(assignment: Mapping[str, str], knowledge: Knowledge) -> bool:
-    return all(implication_holds(assignment, impl) for impl in knowledge)
 
 
 def negation_as_implication(atom: Atom, domain: Sequence[str]) -> BasicImplication:
@@ -162,8 +162,8 @@ def _witness(
     target_bucket: int,
     buckets: Callable[[Sequence[int]], Sequence[Bucket]],
     k: int,
-) -> tuple[Atom, tuple[Atom, ...], tuple[BasicImplication, ...]]:
-    """The target, antecedents and k implications of the engine's optimum.
+) -> tuple[Atom, tuple[BasicImplication, ...]]:
+    """The target and k implications of the engine's optimum.
 
     ``parts`` maps each bucket index the optimum names, ascending, to its
     per-person atom counts; ``buckets`` builds those buckets, which must hold
@@ -188,7 +188,7 @@ def _witness(
             target = atoms.pop(0)
         antecedents += atoms
     antecedents += [antecedents[0] if antecedents else target] * (k - len(antecedents))
-    return target, tuple(antecedents), tuple(simple_implication(a, target) for a in antecedents)
+    return target, tuple(simple_implication(a, target) for a in antecedents)
 
 
 # ============================================================================
@@ -302,12 +302,8 @@ def parse_knowledge(text: str, table: Table | None = None) -> Knowledge:
         implications.append(_LineParser(tokens, lineno, len(line)).implication())
     knowledge = Knowledge(implications=tuple(implications))
     if table is not None:
-        validate_knowledge(knowledge, table)
+        _check_atoms(knowledge.atoms(), table.row_of, table.domain)
     return knowledge
-
-
-def validate_knowledge(knowledge: Knowledge, table: Table) -> None:
-    _check_atoms(knowledge.atoms(), table.row_of, table.domain)
 
 
 def _check_atoms(atoms: Iterable[Atom], persons: Container[str], domain: Iterable[str]) -> None:

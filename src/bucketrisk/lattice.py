@@ -128,14 +128,15 @@ class Hierarchy(_Frozen):
         for raw, label in lower.items():
             groups.setdefault(label, []).append(raw)
         for label, raws in groups.items():
-            if len({self.label(attribute, depth + 1, raw) for raw in raws}) > 1:
+            if len({self._label(attribute, depth + 1, raw) for raw in raws}) > 1:
                 raise split(label)
 
     def max_level(self, attribute: str) -> int:
         return len(self.levels[attribute])
 
-    def label(self, attribute: str, level: int, raw: str) -> str:
-        """Generalize one raw value; unknown raws at a map level are errors."""
+    def _label(self, attribute: str, level: int, raw: str) -> str:
+        """Generalize one raw value to a checked level; unknown raws at a map
+        level are errors."""
         if level == 0:
             return raw
         spec = self.levels[attribute][level - 1]
@@ -225,7 +226,7 @@ def _generalizer(
         for (attribute, level, seen), value in zip(columns, raw):
             label = seen.get(value)
             if label is None:
-                label = seen[value] = hierarchy.label(attribute, level, value)
+                label = seen[value] = hierarchy._label(attribute, level, value)
             labels.append(label)
         return tuple(labels)
 
@@ -266,7 +267,7 @@ def _step(
     name that value. Refinement makes the map well defined.
     """
     return {
-        hierarchy.label(attribute, level - 1, raw): hierarchy.label(attribute, level, raw)
+        hierarchy._label(attribute, level - 1, raw): hierarchy._label(attribute, level, raw)
         for raw in raws
     }
 
@@ -303,6 +304,12 @@ def is_safe(
     return not disclosure_reaches(histograms, threshold.k, threshold.c, engine=engine)
 
 
+def _height(node: Node) -> tuple[int, Node]:
+    """The searches' utility order: total generalization height, ties broken
+    by the level vector."""
+    return (sum(node), node)
+
+
 def binary_search_chain(
     table: Table,
     hierarchy: Hierarchy,
@@ -317,7 +324,7 @@ def binary_search_chain(
     """
     from .engine import Engine
 
-    nodes = sorted({hierarchy.check_node(n) for n in chain}, key=height_utility)
+    nodes = sorted({hierarchy.check_node(n) for n in chain}, key=_height)
     if not nodes:
         raise ValidationError("empty chain")
     for below, above in zip(nodes, nodes[1:]):
@@ -368,7 +375,7 @@ def all_minimal_safe(
     size = hierarchy.size()
     if size > budget:
         raise BudgetExceededError(size, budget)
-    order = sorted(hierarchy.nodes(), key=height_utility)
+    order = sorted(hierarchy.nodes(), key=_height)
     minimal: list[Node] = []
     # the evaluated nodes one height down, the bottom node before the sweep;
     # its keys give each attribute's distinct raws in first-row order
@@ -396,15 +403,3 @@ def all_minimal_safe(
                 minimal.append(node)
         below = evaluated
     return minimal
-
-
-def height_utility(node: Node) -> tuple[int, Node]:
-    """Utility cost: total generalization height, ties lexicographic."""
-    return (sum(node), tuple(node))
-
-
-def select_by_utility(nodes: Sequence[Node]) -> Node:
-    """Pick the candidate with the least utility cost (``height_utility``)."""
-    if not nodes:
-        raise ValidationError("no candidate nodes")
-    return min(nodes, key=height_utility)

@@ -35,7 +35,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import math
-from collections import Counter
+from collections import Counter, abc
 from functools import cached_property
 from itertools import islice
 from operator import itemgetter
@@ -342,12 +342,9 @@ class Bucketization(_Frozen):
     def by_id(self) -> dict[str, Bucket]:
         return {b.bucket_id: b for b in self.buckets}
 
-    def bucket(self, bucket_id: str) -> Bucket:
-        return self.by_id[bucket_id]
-
     def bucket_of_person(self, person_id: str) -> Bucket:
         try:
-            return self.bucket(self.bucket_of[person_id])
+            return self.by_id[self.bucket_of[person_id]]
         except KeyError:
             raise ValidationError(f"unknown person {person_id!r}") from None
 
@@ -467,6 +464,8 @@ def _keys(
     if by is not None:
         _check_sequence(by, "by")  # a str would group by its letters
     if assignment is not None:
+        if not isinstance(assignment, abc.Mapping):
+            raise ValidationError(f"assignment must be a mapping, not {type(assignment).__name__}")
         missing = [p for p in table.person_ids if p not in assignment]
         if missing:
             raise ValidationError(f"assignment missing person(s) {missing}")

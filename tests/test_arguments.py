@@ -4,7 +4,8 @@ One table names each call, the argument as its message names it, and the
 least value it takes. A value of the wrong type, or below that least value,
 raises ``ValidationError`` with the exact message and nothing else. A
 grouping's ``by`` and ``buckets_at``'s ``indices`` are refused the same way
-unless they are a list or a tuple. A ``Hierarchy`` checks its levels
+unless they are a list or a tuple, and a grouping's ``assignment`` unless
+it is a mapping. A ``Hierarchy`` checks its levels
 whether it was loaded or built in code.
 """
 
@@ -125,8 +126,10 @@ def test_buckets_at_refuses_an_index_past_the_last_bucket():
 
 
 # (call id, call, message): a str by= was grouped on by its letters, an
-# iterator by= gave no buckets at all, and an int indices escaped as "'int'
-# object is not iterable"
+# iterator by= gave no buckets at all, an int indices escaped as "'int'
+# object is not iterable", and a list assignment= as "list indices must be
+# integers or slices, not str" (an int one as "argument of type 'int' is not
+# iterable")
 SEQUENCES = [
     ("buckets_at.indices", lambda: buckets_at(TABLE, 0, by=["Sex"]),
      "indices must be a list or a tuple, not int"),
@@ -139,6 +142,19 @@ SEQUENCES = [
      "by must be a list or a tuple, not str"),
     ("buckets_at.by", lambda: buckets_at(TABLE, [0], by="Sex"),
      "by must be a list or a tuple, not str"),
+    ("partition.assignment-list", lambda: partition(TABLE, assignment=list(TABLE.person_ids)),
+     "assignment must be a mapping, not list"),
+    ("partition.assignment-int", lambda: partition(TABLE, assignment=5),
+     "assignment must be a mapping, not int"),
+    ("histograms.assignment-list", lambda: histograms(TABLE, assignment=list(TABLE.person_ids)),
+     "assignment must be a mapping, not list"),
+    ("histograms.assignment-int", lambda: histograms(TABLE, assignment=5),
+     "assignment must be a mapping, not int"),
+    ("buckets_at.assignment-list",
+     lambda: buckets_at(TABLE, [0], assignment=list(TABLE.person_ids)),
+     "assignment must be a mapping, not list"),
+    ("buckets_at.assignment-int", lambda: buckets_at(TABLE, [0], assignment=5),
+     "assignment must be a mapping, not int"),
 ]
 
 

@@ -273,12 +273,11 @@ PUBLIC = [
     "all_minimal_safe", "apply", "avoidance_probability", "binary_search_chain",
     "brute_force_max_disclosure", "buckets_at", "disclosure_at", "disclosure_by_k",
     "disclosure_reaches", "disclosure_vs_k", "emit_csv", "entropy_vs_disclosure",
-    "exact_posterior", "height_utility", "histograms", "implication_holds", "is_safe",
-    "knowledge_holds", "knowledge_probability", "load_hierarchy", "load_table",
-    "make_bucket", "max_disclosure", "max_disclosure_negated_atoms",
-    "minimize_across_buckets", "minimize_within_bucket", "negation_as_implication",
-    "parse_atom", "parse_knowledge", "partition", "read_assignment", "read_domain",
-    "select_by_utility", "simple_implication", "validate_knowledge", "world_count",
+    "exact_posterior", "histograms", "is_safe", "knowledge_holds", "knowledge_probability",
+    "load_hierarchy", "load_table", "make_bucket", "max_disclosure",
+    "max_disclosure_negated_atoms", "minimize_across_buckets", "minimize_within_bucket",
+    "negation_as_implication", "parse_atom", "parse_knowledge", "partition",
+    "read_assignment", "read_domain", "simple_implication", "world_count",
 ]
 
 

@@ -7,7 +7,6 @@ from bucketrisk import (
     Knowledge,
     ParseError,
     ValidationError,
-    implication_holds,
     knowledge_holds,
     negation_as_implication,
     parse_atom,
@@ -125,19 +124,23 @@ def test_any_text_parses_or_raises_parse_error(text):
     assert parse_knowledge(str(k)) == k
 
 
+def holds(assignment, impl):
+    return knowledge_holds(assignment, Knowledge((impl,)))
+
+
 def test_implication_holds_cases():
     assignment = {"A": "x", "B": "y", "C": "z"}
-    assert implication_holds(assignment, imp(("A", "q"), ("B", "q")))  # vacuous
-    assert implication_holds(assignment, imp(("A", "x"), ("B", "y")))
-    assert not implication_holds(assignment, imp(("A", "x"), ("B", "q")))
+    assert holds(assignment, imp(("A", "q"), ("B", "q")))  # vacuous
+    assert holds(assignment, imp(("A", "x"), ("B", "y")))
+    assert not holds(assignment, imp(("A", "x"), ("B", "q")))
     both = BasicImplication((Atom("A", "x"), Atom("B", "y")), (Atom("C", "z"),))
-    assert implication_holds(assignment, both)
-    assert not implication_holds(
+    assert holds(assignment, both)
+    assert not holds(
         assignment, BasicImplication((Atom("A", "x"),), (Atom("B", "q"), Atom("C", "q")))
     )
     for unknown in (imp(("Ghost", "x"), ("A", "x")), imp(("A", "x"), ("Ghost", "x"))):
         with pytest.raises(ValidationError, match="unknown person 'Ghost'"):
-            implication_holds(assignment, unknown)
+            holds(assignment, unknown)
 
 
 def test_knowledge_holds_is_conjunction():
@@ -160,7 +163,7 @@ def test_negation_encoding_is_exact(person, value, actual_p, actual_q):
     domain = ("a", "b", "c")
     encoded = negation_as_implication(Atom(person, value), domain)
     assignment = {"p": actual_p, "q": actual_q}
-    assert implication_holds(assignment, encoded) == (assignment[person] != value)
+    assert holds(assignment, encoded) == (assignment[person] != value)
 
 
 def test_negation_picks_smallest_alternative():

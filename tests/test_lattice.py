@@ -17,13 +17,11 @@ from bucketrisk import (
     apply,
     binary_search_chain,
     disclosure_at,
-    height_utility,
     is_safe,
     load_hierarchy,
     load_table,
     max_disclosure,
     partition,
-    select_by_utility,
 )
 from conftest import DATA
 from helpers import leq, random_table_and_hierarchy
@@ -44,12 +42,12 @@ def test_load_demo_hierarchy(demo_hierarchy):
     assert [h.max_level(a) for a in h.attributes] == [1, 1, 1]
     assert h.bottom() == (0, 0, 0)
     assert h.size() == 8
-    assert h.label("Zip", 1, "14850") == "1485*"
-    assert h.label("Age", 1, "27") == "2*"
-    assert h.label("Sex", 1, "M") == "*"
-    assert h.label("Age", 0, "27") == "27"
+    assert h._label("Zip", 1, "14850") == "1485*"
+    assert h._label("Age", 1, "27") == "2*"
+    assert h._label("Sex", 1, "M") == "*"
+    assert h._label("Age", 0, "27") == "27"
     with pytest.raises(ValidationError):
-        h.label("Zip", 1, "99999")
+        h._label("Zip", 1, "99999")
     with pytest.raises(ValidationError):
         h.check_node((0, 0))
     with pytest.raises(ValidationError):
@@ -140,7 +138,7 @@ def test_hierarchy_keeps_its_own_copy_of_the_callers_maps():
     h = Hierarchy(("Sex",), levels)
     sex["M"] = "M"
     levels["Sex"] = ("identity",)
-    assert h.label("Sex", 1, "M") == "*"
+    assert h._label("Sex", 1, "M") == "*"
     assert h.levels == {"Sex": ({"M": "*", "F": "*"},)}
     with pytest.raises(TypeError):
         h.levels["Sex"][0]["M"] = "M"
@@ -270,7 +268,7 @@ def test_all_minimal_safe_demo(demo_table, demo_hierarchy):
         demo_table, demo_hierarchy, SafetyThreshold(Fraction(7, 10), 1)
     )
     assert got == [(1, 1, 0)]
-    assert select_by_utility(got) == (1, 1, 0)
+    assert got[0] == (1, 1, 0)
 
 
 def antichain_fixture():
@@ -295,7 +293,7 @@ def test_all_minimal_safe_antichain_example():
     table, hierarchy = antichain_fixture()
     got = all_minimal_safe(table, hierarchy, SafetyThreshold(Fraction(3, 5), 0))
     assert got == [(1, 0), (0, 2)]
-    assert select_by_utility(got) == (1, 0)
+    assert got[0] == (1, 0)
 
 
 def exhaustive_minimal(table, hierarchy, threshold):
@@ -359,14 +357,6 @@ def test_all_minimal_safe_budget(demo_table, demo_hierarchy):
     assert e.value.count == 8
 
 
-def test_select_by_utility():
-    assert height_utility((1, 2)) == (3, (1, 2))
-    assert select_by_utility([(2, 0), (0, 2), (1, 1)]) == (0, 2)
-    assert select_by_utility([(1, 0, 0)]) == (1, 0, 0)
-    with pytest.raises(ValidationError):
-        select_by_utility([])
-
-
 @given(seed=st.integers(min_value=0, max_value=10_000))
 @settings(max_examples=60, deadline=None)
 def test_rollup_equals_apply(seed):
@@ -401,7 +391,7 @@ def test_search_rolls_up_from_a_child_like_from_the_bottom(seed, k, c):
     # the search evaluates every node but those strictly above a minimal one
     evaluated = [
         node
-        for node in sorted(hierarchy.nodes(), key=height_utility)
+        for node in sorted(hierarchy.nodes(), key=lambda node: (sum(node), node))
         if not any(m != node and all(x >= y for x, y in zip(node, m)) for m in got)
     ]
     bottom = lattice_module._bottom_tallies(table, hierarchy)

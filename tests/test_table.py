@@ -254,8 +254,6 @@ def test_bucketization_validation():
     one = Bucketization((b0,), ("a",))
     with pytest.raises(ValidationError):
         one.bucket_of_person("ghost")
-    with pytest.raises(KeyError):
-        one.bucket("nope")
 
 
 def test_bucketization_rejects_values_outside_its_domain():
@@ -424,5 +422,5 @@ def test_unchecked_build_equals_the_checked_one(data, picks, node):
     assert_builds_as_checked(built, checked_bucketization(table, keys))
     indices = [i % len(built.buckets) for i in picks]
     assert buckets_at(table, indices, **grouping) == [built.buckets[i] for i in indices]
-    generalized = [tuple(map(COARSE.label, ATTRIBUTES, node, row)) for row in zip(*table.columns)]
+    generalized = [tuple(map(COARSE._label, ATTRIBUTES, node, row)) for row in zip(*table.columns)]
     assert_builds_as_checked(apply(table, COARSE, node), checked_bucketization(table, generalized))

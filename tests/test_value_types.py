@@ -52,9 +52,7 @@ SAMPLES = {
     Placement: {"target_bucket": 0, "atom_counts": (1, 0)},
     DisclosureReport: {
         "disclosure": Fraction(1, 2),
-        "ratio": Fraction(1),
         "target": ATOM,
-        "antecedents": (Atom("b", "Cold"),),
         "bucket_atom_counts": (2,),
         "implications": (IMPL,),
     },
@@ -76,9 +74,8 @@ REPRS = {
     Knowledge: "Knowledge(implications=(BasicImplication(antecedents=(Atom(person='a', "
                "value='Flu'),), consequents=(Atom(person='b', value='Cold'),)),))",
     Placement: "Placement(target_bucket=0, atom_counts=(1, 0))",
-    DisclosureReport: "DisclosureReport(disclosure=Fraction(1, 2), ratio=Fraction(1, 1), "
-                      "target=Atom(person='a', value='Flu'), antecedents=(Atom(person='b', "
-                      "value='Cold'),), bucket_atom_counts=(2,), implications=("
+    DisclosureReport: "DisclosureReport(disclosure=Fraction(1, 2), target=Atom(person='a', "
+                      "value='Flu'), bucket_atom_counts=(2,), implications=("
                       "BasicImplication(antecedents=(Atom(person='a', value='Flu'),), "
                       "consequents=(Atom(person='b', value='Cold'),)),))",
     Hierarchy: "Hierarchy(attributes=('Sex',), levels={'Sex': ('suppress',)})",
