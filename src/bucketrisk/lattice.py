@@ -132,7 +132,10 @@ class Hierarchy(_Frozen):
                 raise split(label)
 
     def max_level(self, attribute: str) -> int:
-        return len(self.levels[attribute])
+        try:
+            return len(self.levels[attribute])
+        except KeyError:
+            raise ValidationError(f"hierarchy has no attribute {attribute!r}") from None
 
     def _label(self, attribute: str, level: int, raw: str) -> str:
         """Generalize one raw value to a checked level; unknown raws at a map

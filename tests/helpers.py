@@ -15,10 +15,12 @@ from bucketrisk import (
     BasicImplication,
     Bucketization,
     CurvePoint,
+    Engine,
     Hierarchy,
     Knowledge,
     Table,
     make_bucket,
+    minimize_within_bucket,
     negation_as_implication,
     simple_implication,
 )
@@ -135,6 +137,29 @@ def random_table_and_hierarchy(
         declared.append("suppress")
         levels[attribute] = tuple(declared)
     return table, Hierarchy(attributes, levels)
+
+
+def two_bucket_minimum(histograms, k: int) -> Fraction:
+    """The across-bucket minimum r(k) with the atoms in at most two buckets.
+
+    Bucket t holds the target atom and a <= k more, and one other bucket
+    the other k - a. With w_b(h) bucket b's within-bucket minimum for h
+    atoms, r(k) = min over t and a of (n_t/top_t) * w_t(a + 1) *
+    W(t, k - a), where W(t, h) = min over j != t of w_j(h) and W(t, 0) = 1.
+    A test-only reference for ``minimize_across_buckets``, which places
+    atoms in any number of buckets.
+    """
+    engine = Engine()
+    w = [[minimize_within_bucket(counts, h, engine=engine)[0] for h in range(k + 2)]
+         for counts in histograms]
+    m = len(histograms)
+    return min(
+        Fraction(sum(counts), counts[0]) * w[t][a + 1]
+        * (1 if a == k else min(w[j][k - a] for j in range(m) if j != t))
+        for t, counts in enumerate(histograms)
+        for a in range(k + 1)
+        if a == k or m > 1  # the other k - a atoms need a second bucket
+    )
 
 
 def reference_brute_force(bucketization, k, kind=SIMPLE):

@@ -4,6 +4,9 @@ import random
 from fractions import Fraction
 
 import pytest
+
+pytest.importorskip("click")
+
 from click.testing import CliRunner
 
 from bucketrisk import (

@@ -1,6 +1,7 @@
 import contextvars
 import functools
 import importlib
+import importlib.util
 import inspect
 import pkgutil
 import random
@@ -43,7 +44,12 @@ import bucketrisk
 from bucketrisk import engine as engine_module
 from bucketrisk.oracle import NEGATED_ATOMS, brute_force_max_disclosure
 from conftest import DATA
-from helpers import bucketization_from_counts, random_bucketization, random_table_and_hierarchy
+from helpers import (
+    bucketization_from_counts,
+    random_bucketization,
+    random_table_and_hierarchy,
+    two_bucket_minimum,
+)
 
 
 def bucket_from_counts(counts):
@@ -570,6 +576,30 @@ def test_count_tuples_and_bucketization_agree(histograms, k):
     assert max_disclosure_negated_atoms(histograms, k) == max_disclosure_negated_atoms(b, k)
 
 
+# up to 6 distinct values of up to 8 persons each
+_wide_counts = st.lists(st.integers(1, 8), min_size=1, max_size=6).map(
+    lambda counts: tuple(sorted(counts, reverse=True))
+)
+
+
+@given(b=_wide_counts, c=_wide_counts, x=st.integers(0, 7), y=st.integers(0, 7))
+@settings(max_examples=150, deadline=None)
+def test_atoms_in_two_buckets_merge_into_one(b, c, x, y):
+    """w_b(x) * w_c(y) >= min(w_b(x + y), w_c(x + y)): moving the atoms of
+    two non-target buckets into one of them never raises r."""
+    session = Engine()
+    w = lambda counts, h: minimize_within_bucket(counts, h, engine=session)[0]
+    assert w(b, x) * w(c, y) >= min(w(b, x + y), w(c, x + y))
+
+
+@given(histograms=st.lists(_wide_counts, min_size=1, max_size=5), k=st.integers(0, 6))
+# the target's bucket and three atoms in the other: no one bucket reaches 36/203
+@example(histograms=[(7, 3, 3, 2, 2, 2), (10, 9, 7, 1, 1, 1)], k=3)
+@settings(max_examples=150, deadline=None)
+def test_some_optimum_uses_at_most_two_buckets(histograms, k):
+    assert minimize_across_buckets(histograms, k)[0] == two_bucket_minimum(histograms, k)
+
+
 def test_count_tuple_entry_points_keep_their_errors():
     calls = (
         (minimize_across_buckets, "k"),
@@ -778,9 +808,12 @@ def test_no_module_but_the_engine_holds_its_private_functions():
         and inspect.isfunction(value)
         and value.__module__ == engine_module.__name__
     }
+    # bucketrisk.cli imports click, which the library runs without
+    click = importlib.util.find_spec("click") is not None
     modules = [bucketrisk] + [
         importlib.import_module(f"bucketrisk.{info.name}")
         for info in pkgutil.iter_modules(bucketrisk.__path__)
+        if click or info.name != "cli"
     ]
     held = [
         f"{module.__name__}.{name}"

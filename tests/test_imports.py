@@ -8,10 +8,12 @@ knowledge. ``import bucketrisk.cli`` loads errors and table too, and each
 command imports the layers it runs when it runs: oracle loads knowledge and
 oracle but no engine, and only disclose --witness loads knowledge with the
 engine. Every check on what a process loaded or left behind runs in a fresh
-interpreter.
+interpreter. The command-line tests need click and skip without it; the
+library's tests run without it.
 """
 
 import gc
+import importlib.util
 import json
 import subprocess
 import sys
@@ -19,10 +21,8 @@ import types
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
 import bucketrisk
-from bucketrisk.cli import main
 from conftest import DATA
 from helpers import child_env
 
@@ -31,8 +31,11 @@ CLI = PACKAGE | {"bucketrisk.cli"}
 DEFERRED = {"bucketrisk.lattice", "bucketrisk.oracle", "bucketrisk.curves"}
 TABLE_ARGS = ["--table", str(DATA / "clinic.csv"), "--sensitive", "Disease", "--id", "Name"]
 HIERARCHY = str(DATA / "clinic-hierarchy.json")
-# stdlib modules the package does not use; each costs start-up time
-UNUSED = {"dataclasses", "inspect"}
+# modules the library does not use: click, which only the command line
+# needs, and stdlib modules that cost start-up time
+UNUSED = {"click", "dataclasses", "inspect"}
+needs_click = pytest.mark.skipif(importlib.util.find_spec("click") is None,
+                                 reason="the command line needs click")
 
 # Runs the command line as the installed `bucketrisk` script does, through
 # `run`, then appends to stderr, whatever the exit code, the number of
@@ -73,14 +76,14 @@ def run_cli(*args: str):
 
 @pytest.mark.parametrize(
     "code, layers",
-    [("import bucketrisk", PACKAGE), ("import bucketrisk.cli", CLI)],
-    ids=["import bucketrisk", "import bucketrisk.cli"],
+    [pytest.param("import bucketrisk", PACKAGE, id="import bucketrisk"),
+     pytest.param("import bucketrisk.cli", CLI, id="import bucketrisk.cli", marks=needs_click)],
 )
 def test_import_loads_only_the_core_layers(code, layers):
     loaded = loaded_after(code)
     assert loaded - UNUSED == layers
     # click imports inspect itself
-    assert not loaded & (UNUSED - {"inspect"} if code.endswith(".cli") else UNUSED)
+    assert not loaded & (UNUSED - {"click", "inspect"} if code.endswith(".cli") else UNUSED)
 
 
 # load a table, bucketize it, load a hierarchy and apply a node: what a
@@ -99,7 +102,10 @@ def test_bucketizing_loads_no_engine_until_a_search_runs():
     assert loaded_after(SETUP) == {*PACKAGE, "bucketrisk.lattice"}
     search = (
         "minimal = lattice.all_minimal_safe(t, h, lattice.SafetyThreshold(Fraction(7, 10), 1))\n"
-        "assert minimal == [(1, 1, 0)], minimal"
+        "assert minimal == [(1, 1, 0)], minimal\n"
+        # only the command line's process entry turns the collector off
+        "import gc\n"
+        "assert gc.isenabled() and gc.get_freeze_count() == 0"
     )
     # the engine answers from count tuples: a search never needs an atom
     assert loaded_after(SETUP + search) == {*PACKAGE, "bucketrisk.engine", "bucketrisk.lattice"}
@@ -138,10 +144,12 @@ def test_only_a_witness_loads_the_knowledge_layer(call, layers):
         "import bucketrisk\nbucketrisk.curves",
         "from bucketrisk import lattice, table",
         "from bucketrisk import engine, knowledge, oracle, table",
+        "from bucketrisk import *",
     ],
-    ids=["lattice", "oracle", "curves", "lattice-table", "engine-knowledge-oracle-table"],
+    ids=["lattice", "oracle", "curves", "lattice-table", "engine-knowledge-oracle-table",
+         "star"],
 )
-def test_library_layers_load_no_unused_stdlib_module(code):
+def test_library_layers_load_no_unused_module(code):
     loaded = loaded_after(code)
     assert DEFERRED & loaded
     assert not loaded & UNUSED
@@ -173,6 +181,7 @@ KNOWLEDGE = {"bucketrisk.knowledge"}
     ids=["disclose", "disclose-witness", "disclose-negations", "disclose-negations-witness",
          "oracle", "anonymize", "curve-k", "curve-entropy"],
 )
+@needs_click
 def test_each_command_loads_only_the_layers_it_runs(args, code, layers):
     exit_code, stdout, stderr, loaded, _ = run_cli(*args)
     assert exit_code == code, stderr
@@ -184,6 +193,7 @@ HELP = json.loads((DATA / "cli-help.json").read_text(encoding="utf-8"))
 
 
 @pytest.mark.parametrize("command", sorted(HELP))
+@needs_click
 def test_help_text_is_unchanged(command):
     """Help output pinned from the release that imported every layer up front."""
     exit_code, stdout, stderr, _, _ = run_cli(*command.split()[1:])
@@ -213,6 +223,7 @@ def test_help_text_is_unchanged(command):
          "curve-k-partition", "curve-entropy", "oracle", "anonymize-all-minimal",
          "anonymize-chain"],
 )
+@needs_click
 def test_no_command_leaves_a_reference_cycle(args):
     """``run`` turns the cycle collector off, so a cycle a command makes is
     never freed: every successful command must free all it made by
@@ -223,6 +234,7 @@ def test_no_command_leaves_a_reference_cycle(args):
     assert unreachable == 0
 
 
+@needs_click
 def test_run_turns_the_collector_off_and_freezes_the_imported_heap():
     code = (
         "import gc, sys\n"
@@ -238,7 +250,12 @@ def test_run_turns_the_collector_off_and_freezes_the_imported_heap():
     assert (result.returncode, result.stdout, result.stderr) == (0, "False True\n", "")
 
 
+@needs_click
 def test_main_in_process_leaves_the_collector_as_it_was():
+    from click.testing import CliRunner
+
+    from bucketrisk.cli import main
+
     before = gc.isenabled(), gc.get_freeze_count()
     result = CliRunner().invoke(main, [*TABLE_ARGS, "disclose", "--k", "2", "--group-by", "Sex"])
     assert result.exit_code == 0, result.output

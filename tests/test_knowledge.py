@@ -14,6 +14,7 @@ from bucketrisk import (
     simple_implication,
 )
 from bucketrisk.knowledge import _quote, _tokenize
+from conftest import DATA
 
 
 def imp(a, b):
@@ -49,7 +50,7 @@ def test_parse_error_positions():
 
     with pytest.raises(ParseError) as e:
         parse_knowledge('(A="unterminated) -> (B=y)')
-    assert e.value.line == 1
+    assert (e.value.line, e.value.column) == (1, 4)  # at the opening quote
 
     with pytest.raises(ParseError) as e:
         parse_knowledge("(A=x) -> (B=y) junk")
@@ -67,6 +68,9 @@ def test_parse_atom():
 def test_parse_with_table_validation(demo_table):
     ok = parse_knowledge("(Hannah=Flu) -> (Charlie=Flu)\n", table=demo_table)
     assert len(ok) == 1
+    # the knowledge file the command-line examples read, with its comment line
+    flu = parse_knowledge((DATA / "flu.bk").read_text(encoding="utf-8"), table=demo_table)
+    assert flu == ok and parse_knowledge(str(flu)) == flu
     with pytest.raises(ValidationError):
         parse_knowledge("(Nobody=Flu) -> (Charlie=Flu)\n", table=demo_table)
     with pytest.raises(ValidationError):

@@ -52,6 +52,8 @@ def test_load_demo_hierarchy(demo_hierarchy):
         h.check_node((0, 0))
     with pytest.raises(ValidationError):
         h.check_node((2, 0, 0))
+    with pytest.raises(ValidationError, match="^hierarchy has no attribute 'Race'$"):
+        h.max_level("Race")  # was KeyError: 'Race'
 
 
 def test_hierarchy_must_refine():

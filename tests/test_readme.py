@@ -13,6 +13,9 @@ import shlex
 from pathlib import Path
 
 import pytest
+
+pytest.importorskip("click")
+
 from click.testing import CliRunner
 
 from bucketrisk.cli import main
