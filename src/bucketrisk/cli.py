@@ -46,11 +46,12 @@ def _fmt(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator} ({float(value)!r})"
 
 
-def handles_errors(fn):
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
+class _Commands(click.Group):
+    """The command group; it maps every command's errors to exit codes 2 and 3."""
+
+    def invoke(self, ctx):
         try:
-            return fn(*args, **kwargs)
+            return super().invoke(ctx)
         except BudgetExceededError as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(3)
@@ -58,10 +59,8 @@ def handles_errors(fn):
             click.echo(f"error: {exc}", err=True)
             sys.exit(2)
 
-    return wrapper
 
-
-@click.group()
+@click.group(cls=_Commands)
 @click.option("--table", "table_path", type=click.Path(), help="input CSV table")
 @click.option("--sensitive", help="name of the sensitive column")
 @click.option("--id", "id_column", help="identifier column (default: row index)")
@@ -144,7 +143,6 @@ def _emit_points(obj, points) -> None:
 @click.option("--witness", is_flag=True, help="also print a worst-case knowledge formula")
 @click.option("--group-by", help="bucket by these comma-separated columns")
 @click.pass_obj
-@handles_errors
 def disclose(obj, k, knowledge_class, witness, group_by):
     """Worst-case posterior any attacker with k knowledge units can reach."""
     from .engine import disclosure_at, max_disclosure, max_disclosure_negated_atoms
@@ -189,7 +187,6 @@ def disclose(obj, k, knowledge_class, witness, group_by):
 @click.option("--target", required=True, help="atom to evaluate, e.g. 'Ed=Flu'")
 @click.option("--group-by", help="bucket by these comma-separated columns")
 @click.pass_obj
-@handles_errors
 def oracle(obj, knowledge_path, target, group_by):
     """Exact posterior of one atom given explicit knowledge, by enumeration."""
     from .knowledge import Knowledge, parse_atom, parse_knowledge
@@ -259,7 +256,6 @@ def _parse_chain(spec: str, hierarchy) -> list[tuple[int, ...]]:
 @click.option("--all-minimal", is_flag=True, help="search the whole lattice")
 @click.option("--chain", "chain_spec", help="binary-search this chain, e.g. Age=0..5,Sex=0..1")
 @click.pass_obj
-@handles_errors
 def anonymize(obj, hierarchy_path, c_text, k, all_minimal, chain_spec):
     """Find generalizations keeping worst-case disclosure below c."""
     from .lattice import SafetyThreshold, all_minimal_safe, binary_search_chain, load_hierarchy
@@ -305,7 +301,6 @@ def anonymize(obj, hierarchy_path, c_text, k, all_minimal, chain_spec):
 @click.option("--sample", type=float, help="keep only this fraction of rows")
 @click.option("--seed", type=int, default=0, show_default=True, help="sampling seed")
 @click.pass_obj
-@handles_errors
 def curve_k(obj, k_max, group_by, sample, seed):
     """Emit disclosure-vs-k series for implications and negations."""
     from .curves import disclosure_vs_k
@@ -338,7 +333,6 @@ def curve_k(obj, k_max, group_by, sample, seed):
 @click.option("--per-value", type=int, required=True, help="count of each value when uniform")
 @click.option("--k", "k_text", required=True, help="comma-separated k values, e.g. 1,3,5")
 @click.pass_obj
-@handles_errors
 def curve_entropy(obj, domain_size, per_value, k_text):
     """Emit least-disclosure-vs-entropy series over a synthetic bucket family."""
     from .curves import SkewedSingleBucketFamily, entropy_vs_disclosure

@@ -13,7 +13,7 @@ import csv
 import io
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Sequence
 
 from .engine import Histograms, disclosure_by_k
 from .errors import _check_count, _check_sequence
@@ -24,11 +24,6 @@ class CurvePoint(_Frozen):
     """One point of a series: disclosure ``value`` at ``x`` (k, or entropy in bits)."""
 
     __slots__ = _fields = ("series", "x", "value")
-
-    def __init__(self, series: str, x: Union[int, float], value: Fraction) -> None:
-        object.__setattr__(self, "series", series)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "value", value)
 
 
 def disclosure_vs_k(histograms: Histograms, k_max: int) -> list[CurvePoint]:
@@ -56,8 +51,7 @@ class SkewedSingleBucketFamily(_Frozen):
     __slots__ = _fields = ("domain_size", "per_value")
 
     def __init__(self, domain_size: int, per_value: int):
-        object.__setattr__(self, "domain_size", domain_size)
-        object.__setattr__(self, "per_value", per_value)
+        super().__init__(domain_size, per_value)
         _check_count(domain_size, "domain_size", least=1)
         _check_count(per_value, "per_value", least=1)
 

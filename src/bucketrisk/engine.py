@@ -63,7 +63,6 @@ from .errors import ValidationError, _check_count, _check_sequence
 from .table import Bucketization, _Frozen
 
 if TYPE_CHECKING:
-    from .knowledge import Atom, BasicImplication
     from .table import Bucket
 
 Histograms = Bucketization | Sequence[tuple[int, ...]]
@@ -214,9 +213,9 @@ _INSTALLED: ContextVar[Engine | None] = ContextVar("bucketrisk_engine", default=
 
 def _session(engine: Engine | None) -> Engine:
     """The given session, else the installed one, else a fresh one."""
-    if engine is None:
-        engine = _INSTALLED.get()
-    return Engine() if engine is None else engine
+    if engine is not None and not isinstance(engine, Engine):
+        raise ValidationError(f"engine must be an Engine, not {type(engine).__name__}")
+    return engine or _INSTALLED.get() or Engine()
 
 
 def clear_cache() -> None:
@@ -260,10 +259,6 @@ class Placement(_Frozen):
     """
 
     __slots__ = _fields = ("target_bucket", "atom_counts")
-
-    def __init__(self, target_bucket: int, atom_counts: tuple[int, ...]) -> None:
-        object.__setattr__(self, "target_bucket", target_bucket)
-        object.__setattr__(self, "atom_counts", atom_counts)
 
 
 def _check_histogram(counts: object) -> None:
@@ -588,18 +583,6 @@ class DisclosureReport(_Frozen):
     """
 
     __slots__ = _fields = ("disclosure", "target", "bucket_atom_counts", "implications")
-
-    def __init__(
-        self,
-        disclosure: Fraction,
-        target: Atom,
-        bucket_atom_counts: tuple[int, ...],
-        implications: tuple[BasicImplication, ...],
-    ) -> None:
-        object.__setattr__(self, "disclosure", disclosure)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "bucket_atom_counts", bucket_atom_counts)
-        object.__setattr__(self, "implications", implications)
 
 
 def max_disclosure(

@@ -60,10 +60,6 @@ class Atom(_Ordered):
 
     __slots__ = _fields = ("person", "value")
 
-    def __init__(self, person: str, value: str) -> None:
-        object.__setattr__(self, "person", person)
-        object.__setattr__(self, "value", value)
-
     def __str__(self) -> str:
         return f"{_quote(self.person)}={_quote(self.value)}"
 
@@ -77,8 +73,7 @@ class BasicImplication(_Ordered):
     __slots__ = _fields = ("antecedents", "consequents")
 
     def __init__(self, antecedents: tuple[Atom, ...], consequents: tuple[Atom, ...]) -> None:
-        object.__setattr__(self, "antecedents", antecedents)
-        object.__setattr__(self, "consequents", consequents)
+        super().__init__(antecedents, consequents)
         if not self.antecedents or not self.consequents:
             raise ValidationError("implication needs >= 1 antecedent and consequent")
 
@@ -98,7 +93,7 @@ class Knowledge(_Frozen):
     __slots__ = _fields = ("implications",)
 
     def __init__(self, implications: tuple[BasicImplication, ...] = ()) -> None:
-        object.__setattr__(self, "implications", implications)
+        super().__init__(implications)
 
     def __len__(self) -> int:
         return len(self.implications)

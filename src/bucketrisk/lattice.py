@@ -32,6 +32,7 @@ from __future__ import annotations
 import itertools
 import json
 import numbers
+from collections import abc
 from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence, Union
 
@@ -77,7 +78,8 @@ class Hierarchy(_Frozen):
     __slots__ = _fields = ("attributes", "levels")
 
     def __init__(self, attributes: tuple[str, ...], levels: dict[str, tuple[Level, ...]]):
-        object.__setattr__(self, "attributes", attributes)
+        if not isinstance(levels, abc.Mapping):
+            raise ValidationError(f"levels must be a mapping, not {type(levels).__name__}")
         for attribute, declared in levels.items():
             if not isinstance(declared, (list, tuple)):
                 raise ValidationError(f"attribute {attribute!r}: expected a list of levels")
@@ -92,7 +94,7 @@ class Hierarchy(_Frozen):
                                           "a map, 'suppress', or 'identity'")
         copy = lambda level: _ReadOnlyDict(level) if isinstance(level, dict) else level
         levels = _ReadOnlyDict((a, tuple(map(copy, declared))) for a, declared in levels.items())
-        object.__setattr__(self, "levels", levels)
+        super().__init__(attributes, levels)
         if not self.attributes:
             raise ValidationError("hierarchy needs at least one attribute")
         if set(self.levels) != set(self.attributes):
@@ -290,8 +292,7 @@ class SafetyThreshold(_Frozen):
         if not 0 <= c <= 1:  # also refuses NaN
             raise ValidationError("threshold c must be within [0, 1]")
         _check_count(k, "threshold k")
-        object.__setattr__(self, "c", Fraction(c))
-        object.__setattr__(self, "k", k)
+        super().__init__(Fraction(c), k)
 
 
 def is_safe(

@@ -26,7 +26,9 @@ distinct value of every non-id column.
 All types are immutable after construction and safe to share across threads.
 They, and the value types of the other modules, are plain classes on
 ``_Frozen``, defined here because every module with a value type imports
-this one. Their methods are written out, so defining them at import
+this one. ``_Frozen.__init__`` binds the fields each names in ``_fields``,
+by position or by keyword, and refuses a missing, unknown or repeated one
+with TypeError. Their methods are written out, so defining them at import
 compiles nothing.
 """
 
@@ -73,19 +75,30 @@ def _csv_reader(source: Source) -> Iterator[Iterator[list[str]]]:
 class _Frozen:
     """An immutable value with named fields.
 
-    A subclass names its fields in ``_fields`` and sets each one in its
-    ``__init__`` with ``object.__setattr__``; after that, assigning or
-    deleting an attribute raises AttributeError. Two values are equal when
-    they are of one class and have equal fields, a value hashes as its field
-    tuple, its repr names every field, and it pickles and copies by calling
-    its class on its fields. Values are unordered; ``knowledge._Ordered``
-    adds ordering by the field tuple. A subclass declares
-    ``__slots__ = _fields`` unless it keeps an instance dict for a
-    ``cached_property``.
+    A subclass names its fields once, in ``_fields``. ``__init__`` binds
+    them in that order, by position or by keyword, and raises TypeError for
+    a missing field, an unknown keyword or a field given twice; a subclass
+    that checks its fields calls it once and keeps only its checks. After
+    that, assigning or deleting an attribute raises AttributeError. Two
+    values are equal when they are of one class and have equal fields, a
+    value hashes as its field tuple, its repr names every field, and it
+    pickles and copies by calling its class on its fields. Values are
+    unordered; ``knowledge._Ordered`` adds ordering by the field tuple. A
+    subclass declares ``__slots__ = _fields`` unless it keeps an instance
+    dict for a ``cached_property``.
     """
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+
+    def __init__(self, *values, **named) -> None:
+        fields = self._fields
+        bound = dict(zip(fields, values))
+        if len(values) > len(fields) or bound.keys() & named or bound.keys() | named != {*fields}:
+            raise TypeError(f"{self.__class__.__name__}() takes {', '.join(fields)}, each once")
+        bound.update(named)
+        for field in fields:
+            object.__setattr__(self, field, bound[field])
 
     def _astuple(self) -> tuple:
         return tuple(map(self.__getattribute__, self._fields))
@@ -137,12 +150,8 @@ class Table(_Frozen):
         sensitive: tuple[str, ...],
         domain: tuple[str, ...],
     ) -> None:
-        object.__setattr__(self, "attributes", attributes)
-        object.__setattr__(self, "sensitive_attribute", sensitive_attribute)
-        object.__setattr__(self, "person_ids", person_ids)
-        object.__setattr__(self, "columns", columns)
-        object.__setattr__(self, "sensitive", sensitive)
-        object.__setattr__(self, "domain", domain)
+        super().__init__(attributes, sensitive_attribute, person_ids, columns, sensitive,
+                         domain)
         n = len(self.person_ids)
         if len(self.columns) != len(self.attributes) or any(
             len(column) != n for column in (*self.columns, self.sensitive)
@@ -214,9 +223,7 @@ class Bucket(_Frozen):
     def __init__(
         self, bucket_id: str, members: tuple[str, ...], histogram: tuple[tuple[str, int], ...]
     ) -> None:
-        object.__setattr__(self, "bucket_id", bucket_id)
-        object.__setattr__(self, "members", members)
-        object.__setattr__(self, "histogram", histogram)
+        super().__init__(bucket_id, members, histogram)
         if not self.members:
             raise ValidationError(f"bucket {self.bucket_id!r} is empty")
         seen: set[str] = set()
@@ -298,12 +305,13 @@ class Bucketization(_Frozen):
     _fields = ("buckets", "domain")
 
     def __init__(self, buckets: tuple[Bucket, ...], domain: tuple[str, ...]) -> None:
-        object.__setattr__(self, "buckets", buckets)
-        object.__setattr__(self, "domain", domain)
+        super().__init__(buckets, domain)
         seen: set[str] = set()
         ids: set[str] = set()
         domain = set(self.domain)
         for b in self.buckets:
+            if not isinstance(b, Bucket):
+                raise ValidationError(f"buckets holds {b!r}, not a Bucket")
             if b.bucket_id in ids:
                 raise ValidationError(f"duplicate bucket id {b.bucket_id!r}")
             ids.add(b.bucket_id)

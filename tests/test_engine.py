@@ -612,7 +612,8 @@ def test_count_tuple_entry_points_keep_their_errors():
     # neither a bucketization nor a list or a tuple: these escaped as TypeError,
     # ValueError or KeyError, and None read as an empty bucketization; the
     # message names the type, since an iterator's repr holds an address
-    safe = lambda histograms, k: is_safe(histograms, SafetyThreshold(Fraction(1, 2), k))
+    safe = lambda histograms, k, **options: is_safe(
+        histograms, SafetyThreshold(Fraction(1, 2), k), **options)
     for call in [call for call, _ in calls] + [safe]:
         for histograms in (5, iter([(2, 1)]), {(2, 1): 0}, None):
             kind = type(histograms).__name__
@@ -636,6 +637,15 @@ def test_count_tuple_entry_points_keep_their_errors():
             disclosure_reaches([(2, 1, 1)], 1, c)
     # an integral k of another type passes, and so does a float c
     assert disclosure_reaches([(2, 1, 1)], True, 0.5)
+    # an engine= that is not an Engine escaped as AttributeError
+    within = lambda histograms, k, **options: minimize_within_bucket(histograms[0], k, **options)
+    for call in [call for call, _ in calls if call is not max_disclosure_negated_atoms] + [
+        safe, within
+    ]:
+        for engine in (5, "x", Engine):
+            kind = type(engine).__name__
+            with pytest.raises(ValidationError, match=f"^engine must be an Engine, not {kind}$"):
+                call([(2, 1)], 1, engine=engine)
     for parts in (5, iter([1])):  # TypeError from len
         with pytest.raises(ValidationError, match="^parts must be a list or a tuple, not "):
             avoidance_probability((2, 1), parts)

@@ -106,6 +106,14 @@ def test_construction_by_position_and_by_keyword(cls):
     assert by_position == by_keyword
     with pytest.raises(TypeError):
         cls(*fields.values(), None)
+    *first, last = fields
+    if cls is not Knowledge:  # its one field defaults to ()
+        with pytest.raises(TypeError):
+            cls(**{name: fields[name] for name in first})
+    with pytest.raises(TypeError):
+        cls(**fields, not_a_field=None)
+    with pytest.raises(TypeError):
+        cls(*fields.values(), **{last: fields[last]})
 
 
 def test_knowledge_defaults_to_no_implications():
@@ -297,8 +305,10 @@ INVALID = [
     (_with(Bucketization, domain=("Cold",)), "bucket 'b0': value 'Flu' outside the domain"),
     (_with(Bucketization, buckets=(BUCKET, Bucket("b1", ("a",), (("Flu", 1),)))),
      "person 'a' appears in two buckets"),
+    (_with(Bucketization, buckets=(BUCKET, ("a",))), "buckets holds ('a',), not a Bucket"),
     (_with(BasicImplication, antecedents=()), "implication needs >= 1 antecedent and consequent"),
     (_with(BasicImplication, consequents=()), "implication needs >= 1 antecedent and consequent"),
+    (_with(Hierarchy, levels=[("suppress",)]), "levels must be a mapping, not list"),
     (_with(Hierarchy, attributes=(), levels={}), "hierarchy needs at least one attribute"),
     (_with(Hierarchy, levels={"Age": ()}), "levels and attributes disagree"),
     (_with(Hierarchy, levels={"Sex": ({"M": "*", "F": "*"}, {"M": "*"})}),
